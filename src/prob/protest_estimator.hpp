@@ -7,6 +7,8 @@
 //
 // Conditional probabilities P(a_i | A_v) are obtained by re-propagating the
 // (depth-bounded) fanin cone with the joining points pinned to constants.
+// The cone is propagated once unpinned per gate and tuple; each pinned
+// re-propagation then recomputes only the members downstream of a pin.
 // P(A_v) is computed as a chain of the same conditionals in topological
 // order (exact relative to the in-cone propagation, sharper than the
 // independence product).
@@ -71,12 +73,16 @@ class ProtestEstimator {
   ///
   /// PerturbMode::Exact re-selects each touched gate's conditioning set —
   /// the result equals signal_probs() on the perturbed tuple bit for bit.
-  /// PerturbMode::FrozenSelection reuses the sets selected at the base
-  /// tuple (re-selecting them first if the estimator's selection state
-  /// belongs to a different tuple): the result is bit-for-bit what
+  /// Those sets are scratch: the estimator keeps the selection of its
+  /// last full evaluation (signal_probs(), or a batch's element 0).
+  /// PerturbMode::FrozenSelection evaluates under the sets selected at the
+  /// base tuple: the result is bit-for-bit what
   /// signal_probs_batch({base, perturbed}) returns for the perturbed
   /// element, at a fraction of the cost — the neighborhood-screening
-  /// fidelity.  stats() is not updated by this path.
+  /// fidelity.  It reuses the kept selection when the last full
+  /// evaluation was at `base_inputs` (exact perturbs in between do not
+  /// matter), and otherwise re-selects netlist-wide first.  stats() is
+  /// not updated by this path.
   std::vector<double> signal_probs_perturb(
       std::span<const double> base_inputs,
       std::span<const double> base_node_probs, std::size_t input_index,

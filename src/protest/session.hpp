@@ -147,10 +147,10 @@ struct SessionStats {
   std::size_t analyze_calls = 0;
   std::size_t cache_hits = 0;         ///< exact-tuple cache hits
   std::size_t incremental_evals = 0;  ///< exact perturb-path evaluations
-  /// Frozen-selection screening evals.  The first screen after the base
-  /// tuple changes may include a hidden full select run inside the engine
-  /// (re-anchoring the frozen selections to the new base) — one screen
-  /// per base is occasionally netlist-sized, the rest are cone-sized.
+  /// Frozen-selection screening evals, each cone-sized.  A screen whose
+  /// base differs from the engine's last full evaluation includes a
+  /// hidden netlist-wide select run (re-anchoring the frozen selections
+  /// to that base); exact perturbs in between do not move the anchor.
   std::size_t screen_evals = 0;
   std::size_t full_evals = 0;         ///< from-scratch engine evaluations
   /// Tuples currently held by the LRU result cache (snapshot, not

@@ -10,6 +10,7 @@
 
 #include "circuits/iscas.hpp"
 #include "circuits/random_circuit.hpp"
+#include "circuits/zoo.hpp"
 #include "netlist/builder.hpp"
 #include "prob/engine.hpp"
 #include "prob/naive.hpp"
@@ -303,20 +304,33 @@ TEST(EnginePerturb, ValidatesArguments) {
 
 TEST(EnginePerturb, FrozenSelectionMatchesBatchElement) {
   // FrozenSelection reproduces what a batch anchored at the base computes
-  // for the perturbed tuple — even when the selection state belongs to a
-  // different tuple and must be re-anchored first.
-  const Netlist net = make_c17();
-  const auto engine = make_engine("protest", net);
-  const InputProbs base = uniform_input_probs(net, 0.5);
-  const std::vector<double> base_probs = engine->signal_probs(base);
-  InputProbs perturbed = base;
-  perturbed[1] = 0.8125;
-  const auto want = engine->signal_probs_batch(
-      std::vector<InputProbs>{base, perturbed})[1];
-  engine->signal_probs(uniform_input_probs(net, 0.3));  // de-anchor
-  const auto got = engine->signal_probs_perturb(
-      base, base_probs, 1, 0.8125, PerturbMode::FrozenSelection);
-  EXPECT_EQ(got, want);
+  // for the perturbed tuple — when the selection state belongs to a
+  // different tuple and must be re-anchored first, and when exact perturbs
+  // of the base ran between the base evaluation and the screen (they
+  // select into scratch, so the base's selection must survive them).
+  for (const char* circuit : {"c17", "alu"}) {
+    const Netlist net = make_circuit(circuit);
+    const auto engine = make_engine("protest", net);
+    const InputProbs base = random_tuple(net, 17);
+    const std::vector<double> base_probs = engine->signal_probs(base);
+    InputProbs perturbed = base;
+    perturbed[1] = 0.8125;
+    const auto want = engine->signal_probs_batch(
+        std::vector<InputProbs>{base, perturbed})[1];
+    engine->signal_probs(uniform_input_probs(net, 0.3));  // de-anchor
+    EXPECT_EQ(engine->signal_probs_perturb(base, base_probs, 1, 0.8125,
+                                           PerturbMode::FrozenSelection),
+              want)
+        << circuit << ": re-anchored screen";
+
+    engine->signal_probs(base);
+    for (std::size_t i = 0; i < net.inputs().size(); i += 2)
+      engine->signal_probs_perturb(base, base_probs, i, 0.0625);
+    EXPECT_EQ(engine->signal_probs_perturb(base, base_probs, 1, 0.8125,
+                                           PerturbMode::FrozenSelection),
+              want)
+        << circuit << ": screen after exact perturbs";
+  }
 }
 
 TEST(EngineBatch, EmptyBatchYieldsEmptyResult) {

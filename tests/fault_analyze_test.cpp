@@ -57,8 +57,11 @@ TEST(Implication, ForwardLatticeConstantsAreAlsoLearned) {
   const Netlist net = read_bench_string(
       "INPUT(a)\nOUTPUT(y)\nc = CONST1()\ny = AND(a, c)\n");
   const std::vector<signed char> learned = learn_constants(net);
-  for (NodeId n = 0; n < net.size(); ++n)
-    if (net.gate(n).type == GateType::Const1) EXPECT_EQ(learned[n], 1);
+  for (NodeId n = 0; n < net.size(); ++n) {
+    if (net.gate(n).type == GateType::Const1) {
+      EXPECT_EQ(learned[n], 1);
+    }
+  }
 }
 
 TEST(Implication, LearnedConstantsAgreeWithExhaustiveTruth) {
@@ -91,9 +94,10 @@ TEST(Implication, LearnedConstantsAgreeWithExhaustiveTruth) {
       else
         EXPECT_EQ(ones[n], 0u) << name << " node " << n;
     }
-    if (std::string(name) == "c17")
+    if (std::string(name) == "c17") {
       for (NodeId n = 0; n < net.size(); ++n)
         EXPECT_EQ(learned[n], -1) << "c17 node " << n;
+    }
   }
 }
 
@@ -165,7 +169,9 @@ TEST(FaultAnalyze, EveryFaultGetsAVerdictAndCountsAddUp) {
         EXPECT_EQ(b.hi, 0.0);
         EXPECT_NE(b.cause, UndetectableCause::None);
       }
-      if (b.verdict == FaultClass::ProvenDetectable) EXPECT_GT(b.lo, 0.0);
+      if (b.verdict == FaultClass::ProvenDetectable) {
+        EXPECT_GT(b.lo, 0.0);
+      }
     }
   }
 }
@@ -231,8 +237,9 @@ TEST(DetectProbsBounded, ClampsIntoIntervalAndZeroesProvenUndetectable) {
   ASSERT_EQ(dp.size(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const FaultBound& b = fa.bounds[i];
-    if (b.verdict == FaultClass::ProvenUndetectable)
+    if (b.verdict == FaultClass::ProvenUndetectable) {
       EXPECT_EQ(dp[i], 0.0) << to_string(net, faults[i]);
+    }
     EXPECT_GE(dp[i], b.lo) << to_string(net, faults[i]);
     EXPECT_LE(dp[i], b.hi) << to_string(net, faults[i]);
   }

@@ -2,11 +2,15 @@
 // Monte-Carlo, cutting bounds (BDS84), and the PROTEST estimator (sect. 2).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
+#include <string>
 
 #include "circuits/iscas.hpp"
 #include "circuits/random_circuit.hpp"
 #include "circuits/sn74181.hpp"
+#include "circuits/zoo.hpp"
 #include "netlist/builder.hpp"
 #include "prob/cutting.hpp"
 #include "prob/exact.hpp"
@@ -242,6 +246,142 @@ TEST(ProtestEstimator, AccurateOnAlu) {
   err_est /= static_cast<double>(net.size());
   EXPECT_LT(err_est, err_naive);   // conditioning must help on the ALU
   EXPECT_LT(err_est, 0.03);        // and be accurate in absolute terms
+}
+
+// Golden bit patterns: every estimator entry point is hashed (FNV-1a over
+// the IEEE bit patterns of each returned probability) and compared with
+// hashes recorded from the straightforward full-cone kernel.  Any kernel
+// rework must reproduce those numbers bit for bit, not just closely.  The
+// script mirrors the served what-if round: a full evaluation, four exact
+// perturbs of it, a frozen-selection screen after them, then a batch.
+// The values assume IEEE doubles without fused multiply-add contraction
+// (the default x86-64 code generation).
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(const std::vector<double>& probs) {
+    add(probs.size());
+    for (double p : probs) add(std::bit_cast<std::uint64_t>(p));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::uint64_t golden_script_hash(const Netlist& net,
+                                 const ProtestParams& params) {
+  const std::size_t ni = net.inputs().size();
+  // Dyadic probabilities in (0, 1): exact in binary, portable to write.
+  auto tuple = [&](std::size_t stride, std::size_t offset) {
+    InputProbs ip(ni);
+    for (std::size_t i = 0; i < ni; ++i)
+      ip[i] = 0.0625 * static_cast<double>(1 + (i * stride + offset) % 15);
+    return ip;
+  };
+  const InputProbs base = tuple(7, 0);
+  const ProtestEstimator est(net, params);
+  Fnv1a h;
+  const std::vector<double> full = est.signal_probs(base);
+  h.add(full);
+  h.add(est.stats().gates_conditioned);
+  h.add(est.stats().max_w);
+  const double moves[] = {0.125, 0.875, 0.3125, 0.5625};
+  for (std::size_t k = 0; k < 4; ++k)
+    h.add(est.signal_probs_perturb(base, full, (k * ni) / 4, moves[k]));
+  h.add(est.signal_probs_perturb(base, full, ni / 2, 0.9375,
+                                 PerturbMode::FrozenSelection));
+  const std::vector<InputProbs> batch = {tuple(3, 5), tuple(5, 1),
+                                         uniform_input_probs(net, 0.5)};
+  for (const std::vector<double>& probs : est.signal_probs_batch(batch))
+    h.add(probs);
+  return h.value();
+}
+
+struct GoldenCase {
+  const char* circuit;
+  unsigned maxvers;
+  unsigned max_candidates;
+  std::uint64_t hash;
+};
+
+TEST(ProtestEstimator, GoldenBitPatterns) {
+  const ProtestParams defaults;
+  const GoldenCase cases[] = {
+      {"c17", defaults.maxvers, defaults.max_candidates, 802453982375007450u},
+      {"alu", defaults.maxvers, defaults.max_candidates, 1831845030261732388u},
+      {"mult", defaults.maxvers, defaults.max_candidates,
+       18121010025177552028u},
+      {"div", defaults.maxvers, defaults.max_candidates, 9949253895706027412u},
+      {"alu", 10, 32, 14945863655245872969u},  // observe_test's config
+      {"mult", defaults.maxvers, 48, 10962140055859131135u},  // the ablation's
+      // Up to 128 candidates per gate: candidates c and c + 64 share a
+      // reach-mask bit.
+      {"mult", defaults.maxvers, 128, 7310468995186666662u},
+  };
+  for (const GoldenCase& c : cases) {
+    ProtestParams params;
+    params.maxvers = c.maxvers;
+    params.max_candidates = c.max_candidates;
+    EXPECT_EQ(golden_script_hash(make_circuit(c.circuit), params), c.hash)
+        << c.circuit << " maxvers " << c.maxvers << " max_candidates "
+        << c.max_candidates;
+  }
+}
+
+// z is a reconvergent AND wider than the 32 roots a bounded cone is grown
+// from (ConeWorkspace::compute), so its 33rd fanin, the input x, lies
+// outside its cone.  The gate y before it conditions on x, and its last
+// pinned run leaves x at a constant in the cone scratch.  Conditioning on
+// x (for y) and s (for z) is exact here, so every entry point must agree
+// with the exact probabilities.
+Netlist make_wide_reconvergent() {
+  NetlistBuilder bld;
+  const NodeId s = bld.input("s"), a = bld.input("a"), b = bld.input("b");
+  const NodeId c = bld.input("c"), d = bld.input("d"), x = bld.input("x");
+  bld.output(bld.gate(GateType::Or, {bld.and2(x, c), bld.and2(x, d)}, "y"));
+  std::vector<NodeId> fanin = {bld.and2(s, a), bld.and2(s, b)};
+  for (int i = 0; i < 30; ++i)
+    fanin.push_back(bld.input("i" + std::to_string(i)));
+  fanin.push_back(x);
+  bld.output(bld.gate(GateType::And, std::move(fanin), "z"));
+  return bld.build();
+}
+
+TEST(ProtestEstimator, WideGateReadsFaninsOutsideItsCone) {
+  const Netlist net = make_wide_reconvergent();
+  ASSERT_EQ(net.gate(net.find("z")).fanin.size(), 33u);
+  constexpr std::size_t kS = 0, kX = 5;
+  // Inputs near 1 keep p(z) well away from 0.
+  InputProbs base(net.inputs().size(), 0.9375);
+  base[kS] = 0.75;
+  base[kX] = 0.625;
+  InputProbs moved = base;
+  moved[kX] = 0.25;
+  auto expect_exact = [&](const std::vector<double>& got,
+                          const InputProbs& ip, const char* entry) {
+    const std::vector<double> exact = exact_signal_probs_bdd(net, ip);
+    for (NodeId n = 0; n < net.size(); ++n)
+      EXPECT_NEAR(got[n], exact[n], 1e-12) << entry << " node " << n;
+  };
+  const ProtestEstimator est(net);
+  const std::vector<double> full = est.signal_probs(base);
+  EXPECT_EQ(est.stats().gates_conditioned, 2u);
+  expect_exact(full, base, "signal_probs");
+  expect_exact(est.signal_probs_perturb(base, full, kX, moved[kX]), moved,
+               "exact perturb");
+  expect_exact(est.signal_probs_perturb(base, full, kX, moved[kX],
+                                        PerturbMode::FrozenSelection),
+               moved, "screen");
+  const std::vector<InputProbs> batch = {base, moved};
+  expect_exact(est.signal_probs_batch(batch)[1], moved, "batch");
+  // Recorded from the full-cone kernel, like the cases above.
+  EXPECT_EQ(golden_script_hash(net, {}), 14470955687527920721u);
 }
 
 TEST(ProtestEstimator, RejectsBadInputs) {

@@ -1,7 +1,9 @@
-#include "util/fault_inject.hpp"
+#include "protest/fault_inject.hpp"
 
 #include <cstdlib>
 #include <stdexcept>
+
+#include "protest/service.hpp"
 
 namespace protest {
 namespace {
@@ -21,7 +23,7 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return parts;
 }
 
-[[noreturn]] void bad_rule(const std::string& rule, const char* why) {
+[[noreturn]] void bad_rule(const std::string& rule, const std::string& why) {
   throw std::invalid_argument("fault-inject rule '" + rule + "': " + why);
 }
 
@@ -75,6 +77,14 @@ FaultInjector FaultInjector::parse(const std::string& spec, int worker_index) {
       verb = verb.substr(0, colon);
     }
     if (verb.empty()) bad_rule(raw, "empty verb");
+    if (verb != "*" && !find_verb(verb)) {
+      std::string known = "*";
+      for (const VerbSpec& spec : verb_table()) {
+        known += '|';
+        known += spec.name;
+      }
+      bad_rule(raw, "unknown verb (want " + known + ")");
+    }
     rule.verb = verb;
     // A rule scoped to a different worker is parsed (so syntax errors
     // surface everywhere) but not armed in this process.

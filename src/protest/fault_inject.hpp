@@ -18,16 +18,18 @@
 //                    answering, simulating a wedged worker
 //           garbage  emit one non-JSON line on stdout instead of
 //                    dispatching — simulates protocol corruption
-//   verb    the request verb that triggers the rule ("*" = any)
+//   verb    the request verb that triggers the rule: a name from the
+//           verb table (protest/service.hpp) or "*" for any line, even
+//           one that names no verb
 //   nth     1-based count of MATCHING requests seen before firing
 //           (default 1 = fire on the first match); each rule fires
 //           exactly once
 //   w<K>:   only arm this rule in the worker whose index is K
 //           (workers learn their index via PROTEST_WORKER_INDEX)
 //
-// Example: "w0:crash@monte_carlo_analyze,w1:stall@analyze:2" kills worker
-// 0 on its first monte-carlo request and wedges worker 1 on its second
-// exact analyze.  Everything is counter-based and single-threaded within
+// Example: "w0:crash@optimize,w1:stall@analyze:2" kills worker 0 on its
+// first optimize request and wedges worker 1 on its second analyze.
+// Everything is counter-based and single-threaded within
 // a worker's reader loop, so a given conversation replays byte-for-byte
 // deterministically — the CI fault-injection job depends on this.
 #pragma once
@@ -58,7 +60,9 @@ class FaultInjector {
   FaultInjector() = default;
 
   /// Parses a spec string; throws std::invalid_argument with the
-  /// offending rule quoted on malformed input.
+  /// offending rule quoted on malformed input, including a verb that is
+  /// neither "*" nor in the verb table — in rules scoped to other workers
+  /// too, which are parsed but not armed.
   static FaultInjector parse(const std::string& spec, int worker_index = -1);
 
   /// Builds an injector from PROTEST_FAULT_INJECT / PROTEST_WORKER_INDEX,

@@ -155,30 +155,48 @@ std::size_t SessionRegistry::num_resident() const {
 
 namespace {
 
-constexpr std::pair<ServiceVerb, std::string_view> kVerbNames[] = {
-    {ServiceVerb::LoadNetlist, "load_netlist"},
-    {ServiceVerb::Lint, "lint"},
-    {ServiceVerb::FaultBounds, "fault_bounds"},
-    {ServiceVerb::Analyze, "analyze"},
-    {ServiceVerb::Perturb, "perturb"},
-    {ServiceVerb::Optimize, "optimize"},
-    {ServiceVerb::Stats, "stats"},
-    {ServiceVerb::Evict, "evict"},
-    {ServiceVerb::Shutdown, "shutdown"},
-    {ServiceVerb::Submit, "submit"},
-    {ServiceVerb::Poll, "poll"},
-    {ServiceVerb::Wait, "wait"},
-    {ServiceVerb::Cancel, "cancel"},
-    {ServiceVerb::Jobs, "jobs"},
+using enum VerbClass;
+
+/// Work verbs are the only ones a job may run: job control nested in a
+/// job could deadlock (a waiting job occupying the worker its target
+/// needs), shutdown must act on the serving loop itself, and a ticketed
+/// load or evict racing pipelined work would undo the barrier ordering.
+/// Only idempotent reads are retried: optimize is stochastic and
+/// expensive, and evict, load_netlist and job control change state.
+constexpr VerbSpec kVerbs[] = {
+    {ServiceVerb::LoadNetlist, "load_netlist", Barrier, false},
+    {ServiceVerb::Lint, "lint", Work, true},
+    {ServiceVerb::FaultBounds, "fault_bounds", Work, true},
+    {ServiceVerb::Analyze, "analyze", Work, true},
+    {ServiceVerb::Perturb, "perturb", Work, true},
+    {ServiceVerb::Optimize, "optimize", Work, false},
+    {ServiceVerb::Stats, "stats", Inline, true},
+    {ServiceVerb::Evict, "evict", Barrier, false},
+    {ServiceVerb::Shutdown, "shutdown", Barrier, false},
+    {ServiceVerb::Submit, "submit", Inline, false},
+    {ServiceVerb::Poll, "poll", Inline, false},
+    {ServiceVerb::Wait, "wait", Inline, false},
+    {ServiceVerb::Cancel, "cancel", Inline, false},
+    {ServiceVerb::Jobs, "jobs", Inline, false},
 };
 
-/// Strictly integral, non-negative number (doubles carry protocol
-/// integers; exact up to 2^53).
-std::uint64_t to_uint(const JsonValue& v) {
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0)
-    throw std::runtime_error("expected a non-negative integer");
-  return static_cast<std::uint64_t>(d);
+constexpr bool rows_in_declaration_order() {
+  for (std::size_t i = 0; i < std::size(kVerbs); ++i)
+    if (kVerbs[i].verb != static_cast<ServiceVerb>(i)) return false;
+  return static_cast<std::size_t>(ServiceVerb::Jobs) + 1 == std::size(kVerbs);
+}
+static_assert(rows_in_declaration_order(),
+              "one verb table row per ServiceVerb, in declaration order");
+
+/// "a/b/c": the names of the work verbs, the ones `submit` accepts.
+std::string work_verb_names() {
+  std::string names;
+  for (const VerbSpec& spec : kVerbs) {
+    if (spec.dispatch != Work) continue;
+    if (!names.empty()) names += '/';
+    names += spec.name;
+  }
+  return names;
 }
 
 std::vector<double> to_number_list(const JsonValue& v) {
@@ -219,22 +237,36 @@ void write_string_list(JsonWriter& w, std::string_view key,
 
 }  // namespace
 
-std::string_view to_string(ServiceVerb verb) {
-  for (auto [v, name] : kVerbNames)
-    if (v == verb) return name;
-  return "?";
+std::span<const VerbSpec> verb_table() { return kVerbs; }
+
+const VerbSpec& spec_of(ServiceVerb verb) {
+  return kVerbs[static_cast<std::size_t>(verb)];
 }
 
+const VerbSpec* find_verb(std::string_view name) {
+  for (const VerbSpec& spec : kVerbs)
+    if (spec.name == name) return &spec;
+  return nullptr;
+}
+
+std::string_view to_string(ServiceVerb verb) { return spec_of(verb).name; }
+
 ServiceVerb verb_from_string(std::string_view name) {
-  for (auto [v, verb_name] : kVerbNames)
-    if (name == verb_name) return v;
+  if (const VerbSpec* spec = find_verb(name)) return spec->verb;
   std::string known;
-  for (auto [v, verb_name] : kVerbNames) {
+  for (const VerbSpec& spec : kVerbs) {
     known += known.empty() ? "" : " ";
-    known += verb_name;
+    known += spec.name;
   }
   throw ServiceError("unknown_verb", "unknown verb '" + std::string(name) +
                                          "' (available: " + known + ")");
+}
+
+std::uint64_t protocol_uint(const JsonValue& v) {
+  const double d = v.as_number();
+  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0)
+    throw std::runtime_error("expected a non-negative integer");
+  return static_cast<std::uint64_t>(d);
 }
 
 std::string ServiceRequest::to_json(int indent) const {
@@ -298,7 +330,7 @@ ServiceRequest ServiceRequest::from_json_value(const JsonValue& doc) {
         r.verb = verb_from_string(v.as_string());
         saw_verb = true;
       } else if (key == "id") {
-        r.id = to_uint(v);
+        r.id = protocol_uint(v);
       } else if (key == "netlist") {
         r.netlist = v.as_string();
       } else if (key == "circuit") {
@@ -308,11 +340,11 @@ ServiceRequest ServiceRequest::from_json_value(const JsonValue& doc) {
       } else if (key == "engine") {
         r.engine = v.as_string();
       } else if (key == "seed") {
-        r.seed = to_uint(v);
+        r.seed = protocol_uint(v);
       } else if (key == "patterns") {
-        r.patterns = static_cast<std::size_t>(to_uint(v));
+        r.patterns = static_cast<std::size_t>(protocol_uint(v));
       } else if (key == "max_cached_results") {
-        r.max_cached_results = static_cast<std::size_t>(to_uint(v));
+        r.max_cached_results = static_cast<std::size_t>(protocol_uint(v));
       } else if (key == "strict") {
         r.strict = v.as_bool();
       } else if (key == "passes") {
@@ -331,26 +363,26 @@ ServiceRequest ServiceRequest::from_json_value(const JsonValue& doc) {
       } else if (key == "e_grid") {
         e_grid = to_number_list(v);
       } else if (key == "input_index") {
-        r.input_index = static_cast<std::size_t>(to_uint(v));
+        r.input_index = static_cast<std::size_t>(protocol_uint(v));
       } else if (key == "new_p") {
         r.new_p = v.as_number();
       } else if (key == "screen") {
         r.screen = v.as_bool();
       } else if (key == "n") {
-        r.n_parameter = to_uint(v);
+        r.n_parameter = protocol_uint(v);
       } else if (key == "sweeps") {
-        r.sweeps = static_cast<unsigned>(to_uint(v));
+        r.sweeps = static_cast<unsigned>(protocol_uint(v));
       } else if (key == "request") {
         r.subrequest = std::make_shared<ServiceRequest>(from_json_value(v));
       } else if (key == "job") {
-        r.job = to_uint(v);
+        r.job = protocol_uint(v);
       } else if (key == "timeout_ms") {
-        r.timeout_ms = to_uint(v);
+        r.timeout_ms = protocol_uint(v);
       } else if (key == "deadline_ms") {
         // Same guarded conversion as request ids: negative, fractional,
         // or beyond-2^53 budgets are bad_request, never wrapped into a
         // surprise deadline.
-        r.deadline_ms = to_uint(v);
+        r.deadline_ms = protocol_uint(v);
       } else {
         throw std::runtime_error("unknown request member");
       }
@@ -372,14 +404,27 @@ ServiceRequest ServiceRequest::from_json_value(const JsonValue& doc) {
   return r;
 }
 
-ServiceRequest ServiceRequest::from_json(std::string_view text) {
+namespace {
+
+/// The one parse of a request line.  `doc` keeps the parsed document for
+/// an error echo; every failure surfaces as a ServiceError (a JSON syntax
+/// error as "bad_request").
+ServiceRequest parse_request(std::string_view line, JsonValue& doc) {
   try {
-    return from_json_value(parse_json(text));
+    doc = parse_json(line);
+    return ServiceRequest::from_json_value(doc);
   } catch (const ServiceError&) {
     throw;
   } catch (const std::exception& e) {
     throw ServiceError("bad_request", e.what());
   }
+}
+
+}  // namespace
+
+ServiceRequest ServiceRequest::from_json(std::string_view text) {
+  JsonValue doc;
+  return parse_request(text, doc);
 }
 
 ServiceResponse ServiceResponse::success(const ServiceRequest& req,
@@ -432,7 +477,7 @@ ServiceResponse ServiceResponse::from_json_value(const JsonValue& doc) {
     throw ServiceError("bad_request", "response must be a JSON object");
   ServiceResponse resp;
   try {
-    resp.id = to_uint(doc.at("id"));
+    resp.id = protocol_uint(doc.at("id"));
     resp.verb = doc.at("verb").as_string();
     resp.ok = doc.at("ok").as_bool();
     if (resp.ok) {
@@ -497,36 +542,6 @@ std::uint64_t require_job_id(const ServiceRequest& req) {
                        "verb '" + std::string(to_string(req.verb)) +
                            "' requires a 'job' ticket id");
   return *req.job;
-}
-
-/// Only the three WORK verbs run as jobs — the same class the pipelined
-/// front end fans out.  Job-control verbs nesting inside jobs would
-/// deadlock (a waiting job occupying the worker its target needs);
-/// shutdown must act on the serving loop directly; and the registry-
-/// mutating verbs (load_netlist/evict) plus stats are instant and must
-/// keep their deterministic ordering relative to the request stream —
-/// a ticketed load racing a pipelined analyze would reintroduce exactly
-/// the reordering hazard the barrier class rules out.
-bool submittable(ServiceVerb verb) {
-  switch (verb) {
-    case ServiceVerb::Analyze:
-    case ServiceVerb::Perturb:
-    case ServiceVerb::Optimize:
-    case ServiceVerb::Lint:
-    case ServiceVerb::FaultBounds:
-      return true;
-    case ServiceVerb::LoadNetlist:
-    case ServiceVerb::Stats:
-    case ServiceVerb::Evict:
-    case ServiceVerb::Shutdown:
-    case ServiceVerb::Submit:
-    case ServiceVerb::Poll:
-    case ServiceVerb::Wait:
-    case ServiceVerb::Cancel:
-    case ServiceVerb::Jobs:
-      return false;
-  }
-  return false;
 }
 
 /// Builds lint options from a request: pass subset + the prob-bounds
@@ -836,11 +851,11 @@ std::string ProtestService::dispatch(const ServiceRequest& req) {
                            "submit requires a 'request' object (the verb to "
                            "run as a job)");
       const ServiceRequest inner = *req.subrequest;
-      if (!submittable(inner.verb))
+      if (spec_of(inner.verb).dispatch != Work)
         throw ServiceError("bad_request",
                            "verb '" + std::string(to_string(inner.verb)) +
-                               "' cannot run as a job (only the work verbs "
-                               "analyze/perturb/optimize are submittable)");
+                               "' cannot run as a job (only the work verbs " +
+                               work_verb_names() + " are submittable)");
       // The job re-enters handle(): the stored payload IS the synchronous
       // verb's ServiceResponse, serialized compactly — which is what
       // makes poll/wait byte-identical to the synchronous path.
@@ -947,110 +962,54 @@ ServiceResponse ProtestService::handle(const ServiceRequest& request) {
   }
 }
 
-std::string ProtestService::handle_line(std::string_view line) {
-  std::uint64_t id = 0;
-  std::string verb;
+DecodedLine decode_line(std::string_view line) {
+  DecodedLine d;
+  JsonValue doc;
   try {
-    const JsonValue doc = parse_json(line);
-    // Best-effort verb/id extraction so even undecodable requests get a
-    // correlatable error response.  The verb comes FIRST and the id is
-    // guarded separately: a malformed id (negative, fractional, beyond
-    // 2^53, wrong type) must echo id:0 alongside the bad_request error —
-    // never a partially-converted value, and never at the cost of the
-    // verb echo.
-    if (doc.is_object()) {
-      if (const JsonValue* v = doc.find("verb"); v && v->is_string())
-        verb = v->as_string();
-      if (const JsonValue* v = doc.find("id"); v && v->is_number()) {
-        try {
-          id = to_uint(*v);
-        } catch (const std::exception&) {
-          id = 0;  // from_json_value below reports the bad member
-        }
+    d.request = parse_request(line, doc);
+    d.id = d.request->id;
+    d.verb = to_string(d.request->verb);
+    return d;
+  } catch (const ServiceError& e) {
+    d.error_code = e.code();
+    d.error_message = e.what();
+  }
+  // The echo for the error.  The verb comes first and the id is guarded
+  // separately: a malformed id (negative, fractional, beyond 2^53, wrong
+  // type) echoes id:0 beside the bad_request error — never a partially-
+  // converted value, and never at the cost of the verb echo.
+  if (doc.is_object()) {
+    if (const JsonValue* v = doc.find("verb"); v && v->is_string())
+      d.verb = v->as_string();
+    if (const JsonValue* v = doc.find("id"); v && v->is_number()) {
+      try {
+        d.id = protocol_uint(*v);
+      } catch (const std::exception&) {
+        // the error above already names the bad member
       }
     }
-    return handle(ServiceRequest::from_json_value(doc)).to_json(0);
-  } catch (const OperationCancelled&) {
-    throw;  // see handle()
-  } catch (const ServiceError& e) {
-    return ServiceResponse::failure(id, verb, e.code(), e.what()).to_json(0);
-  } catch (const std::exception& e) {
-    return ServiceResponse::failure(id, verb, "bad_request", e.what())
-        .to_json(0);
   }
+  return d;
+}
+
+std::string ServiceEndpoint::answer(const DecodedLine& line) {
+  if (!line.request)
+    return ServiceResponse::failure(line.id, line.verb, line.error_code,
+                                    line.error_message)
+        .to_json(0);
+  return respond(*line.request);
 }
 
 // --- the daemon loops -------------------------------------------------------
 
 namespace {
 
-/// Verb classes of pipelined dispatch (see ServeOptions): work verbs fan
-/// out, control verbs answer inline in request order, registry-mutating
-/// verbs barrier.  Classification parses the line once more — noise next
-/// to a work verb's evaluation, and the other classes are cheap anyway.
-enum class LineClass { Work, Inline, Barrier };
-
-LineClass classify_line(std::string_view line) {
-  try {
-    const JsonValue doc = parse_json(line);
-    if (doc.is_object())
-      if (const JsonValue* v = doc.find("verb"); v && v->is_string()) {
-        const std::string& name = v->as_string();
-        if (name == "analyze" || name == "perturb" || name == "optimize" ||
-            name == "lint" || name == "fault_bounds")
-          return LineClass::Work;
-        if (name == "load_netlist" || name == "evict" || name == "shutdown")
-          return LineClass::Barrier;
-      }
-  } catch (const std::exception&) {
-    // Malformed lines answer inline with their structured error.
-  }
-  return LineClass::Inline;
-}
-
-/// Best-effort verb extraction for the fault-injection hook (injection
-/// rules trigger on the verb BEFORE dispatch, so a crash-at-verb fault
-/// kills the worker with the request genuinely in flight).
-std::string peek_verb(std::string_view line) {
-  try {
-    const JsonValue doc = parse_json(line);
-    if (doc.is_object())
-      if (const JsonValue* v = doc.find("verb"); v && v->is_string())
-        return v->as_string();
-  } catch (const std::exception&) {
-  }
-  return "";
-}
-
-/// Applies an armed fault rule for this request line.  Returns true when
-/// the request was CONSUMED by the fault (garbage emitted instead of a
-/// response) — the caller must not dispatch it.  Crash never returns;
-/// stall sleeps the calling (reader) thread, so heartbeats stop being
-/// answered and the supervisor sees a wedged worker, then falls through
-/// to normal dispatch.
-bool apply_fault(FaultInjector* injector, std::string_view line,
-                 const std::function<bool(const std::string&)>& emit) {
-  if (!injector || !injector->armed()) return false;
-  FaultAction action;
-  if (!injector->should_fire(peek_verb(line), &action)) return false;
-  switch (action) {
-    case FaultAction::Crash:
-      std::_Exit(9);  // a hard crash: no unwinding, no flushing
-    case FaultAction::Stall:
-      std::this_thread::sleep_for(injector->stall_duration());
-      return false;
-    case FaultAction::Garbage:
-      emit(FaultInjector::garbage_line());
-      return true;
-  }
-  return false;
-}
-
-/// Pipelined out-of-order dispatch for one connection: up to `slots` work
-/// lines run concurrently on private threads, responses interleave on the
-/// sink (serialized per line), and dispatch() BLOCKS while every slot is
-/// busy — the connection-level backpressure that throttles a flooding
-/// client by its own unfinished work.
+/// Serial or pipelined dispatch for one connection, by each line's verb
+/// class (see ServeOptions).  With `slots` > 0, up to `slots` work lines
+/// run concurrently on private threads, responses interleave on the sink
+/// (serialized per line), and dispatch() BLOCKS while every slot is busy
+/// — the connection-level backpressure that throttles a flooding client
+/// by its own unfinished work.  With no slots every line answers inline.
 class LineDispatcher {
  public:
   /// `sink` writes one complete response line (it is called under an
@@ -1058,9 +1017,7 @@ class LineDispatcher {
   /// connection is dead.
   LineDispatcher(ServiceEndpoint& service, std::size_t slots,
                  std::function<bool(const std::string&)> sink)
-      : service_(service),
-        slots_(slots == 0 ? 1 : slots),
-        sink_(std::move(sink)) {}
+      : service_(service), slots_(slots), sink_(std::move(sink)) {}
 
   ~LineDispatcher() {
     drain();
@@ -1072,36 +1029,33 @@ class LineDispatcher {
     for (std::thread& t : threads_) t.join();
   }
 
-  /// Routes one trimmed, non-blank request line.  Returns false once the
-  /// sink has failed.
-  bool dispatch(std::string line) {
-    switch (classify_line(line)) {
-      case LineClass::Work: {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (threads_.empty()) {
-          threads_.reserve(slots_);
-          for (std::size_t i = 0; i < slots_; ++i)
-            threads_.emplace_back([this] { worker_loop(); });
-        }
-        // Backpressure: stall the reader until a slot frees up.
-        capacity_cv_.wait(lock, [&] {
-          return inflight_ < slots_ || sink_failed_.load();
-        });
-        if (sink_failed_.load()) return false;
-        ++inflight_;
-        queue_.push_back(std::move(line));
-        work_cv_.notify_one();
-        return true;
+  /// Routes one decoded request line (moved from only when queued).
+  /// Returns false once the sink has failed.
+  bool dispatch(DecodedLine&& line) {
+    const VerbSpec* spec = find_verb(line.verb);
+    const VerbClass verb_class = spec ? spec->dispatch : Inline;
+    if (verb_class == Work && slots_ > 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (threads_.empty()) {
+        threads_.reserve(slots_);
+        for (std::size_t i = 0; i < slots_; ++i)
+          threads_.emplace_back([this] { worker_loop(); });
       }
-      case LineClass::Barrier:
-        // In-flight work completes first, so "load then query" scripts
-        // and evict-after-analyze mean the same thing as in serial mode.
-        drain();
-        return respond(service_.handle_line(line));
-      case LineClass::Inline:
-        return respond(service_.handle_line(line));
+      // Backpressure: stall the reader until a slot frees up.
+      capacity_cv_.wait(lock, [&] {
+        return inflight_ < slots_ || sink_failed_.load();
+      });
+      if (sink_failed_.load()) return false;
+      ++inflight_;
+      queue_.push_back(std::move(line));
+      work_cv_.notify_one();
+      return true;
     }
-    return true;
+    // In-flight work completes before a barrier, so "load then query"
+    // scripts and evict-after-analyze mean the same thing as in serial
+    // mode.
+    if (verb_class == Barrier) drain();
+    return write_line(service_.answer(line));
   }
 
   /// Blocks until every dispatched work line has been answered.
@@ -1118,35 +1072,9 @@ class LineDispatcher {
   /// stay pollable from other connections.
   void cancel_inflight() { conn_token_.request_cancel(); }
 
- private:
-  void worker_loop() {
-    for (;;) {
-      std::string line;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopping, nothing left
-        line = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      try {
-        const CancelScope scope(conn_token_);
-        const std::string response = service_.handle_line(line);
-        respond(response);
-      } catch (const OperationCancelled&) {
-        // The connection dropped and cancel_inflight() fired: there is
-        // nobody left to answer, so just release the slot.
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        --inflight_;
-        done_cv_.notify_all();
-        capacity_cv_.notify_one();
-      }
-    }
-  }
-
-  bool respond(const std::string& response) {
+  /// Writes one response line, serialized with the work slots' writes.
+  /// Returns false once the sink has failed.
+  bool write_line(const std::string& response) {
     const std::lock_guard<std::mutex> lock(out_mu_);
     if (sink_failed_.load()) return false;
     if (!sink_(response)) {
@@ -1161,15 +1089,42 @@ class LineDispatcher {
     return true;
   }
 
+ private:
+  void worker_loop() {
+    for (;;) {
+      DecodedLine line;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // stopping, nothing left
+        line = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      try {
+        const CancelScope scope(conn_token_);
+        write_line(service_.answer(line));
+      } catch (const OperationCancelled&) {
+        // The connection dropped and cancel_inflight() fired: there is
+        // nobody left to answer, so just release the slot.
+      }
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        --inflight_;
+        done_cv_.notify_all();
+        capacity_cv_.notify_one();
+      }
+    }
+  }
+
   ServiceEndpoint& service_;
-  const std::size_t slots_;
+  const std::size_t slots_;  ///< 0 = serial
   const std::function<bool(const std::string&)> sink_;
   std::mutex mu_;                       ///< queue + inflight + stopping
   std::mutex out_mu_;                   ///< serializes sink writes
   std::condition_variable work_cv_;     ///< queue gained work / stopping
   std::condition_variable capacity_cv_; ///< a slot freed up
   std::condition_variable done_cv_;     ///< inflight hit zero
-  std::deque<std::string> queue_;
+  std::deque<DecodedLine> queue_;
   std::vector<std::thread> threads_;    ///< spawned on first work line
   std::size_t inflight_ = 0;            ///< queued + running work lines
   bool stopping_ = false;
@@ -1177,6 +1132,31 @@ class LineDispatcher {
   /// Connection-lifetime token, ambient around every pipelined dispatch.
   const CancelToken conn_token_ = CancelToken::source();
 };
+
+/// Applies an armed fault rule to a decoded line, by its verb echo (""
+/// for lines that name none, which only "*" rules match).  Returns true
+/// when the request was CONSUMED by the fault (garbage written instead of
+/// a response) — the caller must not dispatch it.  Crash never returns;
+/// stall sleeps the calling (reader) thread, so heartbeats stop being
+/// answered and the supervisor sees a wedged worker, then falls through
+/// to normal dispatch.
+bool apply_fault(FaultInjector* injector, const DecodedLine& line,
+                 LineDispatcher& dispatcher) {
+  if (!injector || !injector->armed()) return false;
+  FaultAction action;
+  if (!injector->should_fire(line.verb, &action)) return false;
+  switch (action) {
+    case FaultAction::Crash:
+      std::_Exit(9);  // a hard crash: no unwinding, no flushing
+    case FaultAction::Stall:
+      std::this_thread::sleep_for(injector->stall_duration());
+      return false;
+    case FaultAction::Garbage:
+      dispatcher.write_line(FaultInjector::garbage_line());
+      return true;
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -1188,30 +1168,18 @@ void ignore_sigpipe();
 int serve_ndjson(ServiceEndpoint& service, std::istream& in, std::ostream& out,
                  ServeOptions options) {
   ignore_sigpipe();
-  const auto emit = [&out](const std::string& response) {
-    out << response << "\n" << std::flush;
-    return static_cast<bool>(out);
-  };
-  if (options.max_inflight == 0) {
-    // Serial mode: one request at a time, responses in request order.
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      if (apply_fault(options.injector, line, emit)) continue;
-      if (!emit(service.handle_line(line))) break;  // downstream closed
-      if (service.shutdown_requested()) break;
-    }
-    return 0;
-  }
-
-  LineDispatcher dispatcher(service, options.max_inflight, emit);
+  LineDispatcher dispatcher(service, options.max_inflight,
+                            [&out](const std::string& response) {
+                              out << response << "\n" << std::flush;
+                              return static_cast<bool>(out);
+                            });
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (apply_fault(options.injector, line, emit)) continue;
-    if (!dispatcher.dispatch(std::move(line))) break;
+    DecodedLine request = decode_line(line);
+    if (apply_fault(options.injector, request, dispatcher)) continue;
+    if (!dispatcher.dispatch(std::move(request))) break;  // downstream closed
     if (service.shutdown_requested()) break;
   }
   dispatcher.drain();  // in-flight responses land before we return
@@ -1292,12 +1260,10 @@ void serve_connection(ServiceEndpoint& service, int fd,
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof one);
 #endif
-  std::optional<LineDispatcher> dispatcher;
-  if (options.max_inflight > 0)
-    dispatcher.emplace(service, options.max_inflight,
-                       [fd](const std::string& response) {
-                         return write_all(fd, response + "\n");
-                       });
+  LineDispatcher dispatcher(service, options.max_inflight,
+                            [fd](const std::string& response) {
+                              return write_all(fd, response + "\n");
+                            });
   bool client_lost = false;
   std::string pending;
   char buf[4096];
@@ -1319,12 +1285,7 @@ void serve_connection(ServiceEndpoint& service, int fd,
       std::string_view line(pending.data() + start, nl - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (line.find_first_not_of(" \t") == std::string_view::npos) continue;
-      if (dispatcher) {
-        io_ok = dispatcher->dispatch(std::string(line));
-      } else {
-        const std::string response = service.handle_line(line) + "\n";
-        io_ok = write_all(fd, response);
-      }
+      io_ok = dispatcher.dispatch(decode_line(line));
       if (service.shutdown_requested()) break;
     }
     pending.erase(0, start);
@@ -1333,10 +1294,8 @@ void serve_connection(ServiceEndpoint& service, int fd,
       break;
     }
   }
-  if (dispatcher) {
-    if (client_lost) dispatcher->cancel_inflight();
-    dispatcher->drain();  // flush (or release) in-flight responses
-  }
+  if (client_lost) dispatcher.cancel_inflight();
+  dispatcher.drain();  // flush (or release) in-flight responses
   if (client_lost) {
     const std::lock_guard<std::mutex> lock(log_mu);
     log << "protest serve: client disconnected mid-response; closing its "

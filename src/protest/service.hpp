@@ -53,14 +53,15 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "protest/fault_inject.hpp"
 #include "protest/jobs.hpp"
 #include "protest/session.hpp"
 #include "util/executor.hpp"
-#include "util/fault_inject.hpp"
 
 namespace protest {
 
@@ -184,9 +185,38 @@ enum class ServiceVerb {
   Jobs,         ///< list every job ticket this service has issued
 };
 
+/// How the serve loops dispatch a verb (see ServeOptions::max_inflight).
+enum class VerbClass {
+  Work,     ///< fans out across pipelined slots; the only class `submit` runs
+  Inline,   ///< answers on the reading thread, in request order
+  Barrier,  ///< drains in-flight work first, then answers inline
+};
+
+/// One row of the verb table: everything the protocol knows about a verb
+/// apart from its handler.
+struct VerbSpec {
+  ServiceVerb verb;
+  std::string_view name;
+  VerbClass dispatch;
+  /// The supervisor re-forwards it once after a worker loss (idempotent
+  /// reads only).
+  bool retried;
+};
+
+/// The verb table: one row per ServiceVerb, in declaration order.
+std::span<const VerbSpec> verb_table();
+const VerbSpec& spec_of(ServiceVerb verb);
+/// The row named `name`, or nullptr.
+const VerbSpec* find_verb(std::string_view name);
+
 std::string_view to_string(ServiceVerb verb);
 /// Throws ServiceError("unknown_verb") for unrecognized names.
 ServiceVerb verb_from_string(std::string_view name);
+
+/// A protocol integer (ids, tickets, budgets): JSON numbers are doubles,
+/// so it must be non-negative, integral and at most 2^53.  Throws
+/// std::runtime_error otherwise.
+std::uint64_t protocol_uint(const JsonValue& v);
 
 /// One decoded request.  Optional fields mirror the wire format: absent
 /// members stay nullopt / empty and take verb-specific defaults at
@@ -287,6 +317,23 @@ struct ServiceConfig {
   unsigned job_workers = 2;
 };
 
+/// One request line, decoded once.  Every serve loop decodes here and
+/// hands the result to the fault injector and to the endpoint.
+struct DecodedLine {
+  /// The request's id and verb name.  For a line that does not decode, a
+  /// best-effort echo, so its error is still correlatable: `verb` is the
+  /// line's "verb" string whether or not it names a verb ("" when the
+  /// line is not an object with a string verb), and `id` is 0 unless the
+  /// line's "id" is a valid protocol integer.
+  std::uint64_t id = 0;
+  std::string verb;
+  std::optional<ServiceRequest> request;  ///< unset when the line is invalid
+  std::string error_code;                 ///< why, when unset
+  std::string error_message;
+};
+
+DecodedLine decode_line(std::string_view line);
+
 /// What the serving front ends (serve_ndjson / serve_tcp) actually need
 /// from a back end: line-oriented dispatch plus a shutdown signal.  Both
 /// ProtestService (in-process dispatch) and Supervisor (multi-process
@@ -297,13 +344,24 @@ class ServiceEndpoint {
   virtual ~ServiceEndpoint() = default;
 
   /// One NDJSON request line in, one compact JSON response line out (no
-  /// trailing newline).  Never throws for protocol-level failures; safe
-  /// for concurrent callers.  The one deliberate exception:
-  /// OperationCancelled propagates (see ProtestService::handle_line).
-  virtual std::string handle_line(std::string_view line) = 0;
+  /// trailing newline): decode_line, then answer.  Never throws for
+  /// protocol-level failures; safe for concurrent callers.  The one
+  /// deliberate exception: OperationCancelled propagates (see
+  /// ProtestService::handle).
+  std::string handle_line(std::string_view line) {
+    return answer(decode_line(line));
+  }
+
+  /// The response line for a decoded line: its structured decode error,
+  /// or the endpoint's response to its request.
+  std::string answer(const DecodedLine& line);
 
   /// True once a shutdown request has been handled.
   virtual bool shutdown_requested() const = 0;
+
+ protected:
+  /// The response line for one decoded request.
+  virtual std::string respond(const ServiceRequest& request) = 0;
 };
 
 /// Dispatches requests against a SessionRegistry.  One instance per
@@ -325,13 +383,14 @@ class ProtestService : public ServiceEndpoint {
   /// answers `deadline_exceeded` when the budget expires mid-work.
   ServiceResponse handle(const ServiceRequest& request);
 
-  /// One NDJSON line in, one compact JSON response line out (no trailing
-  /// newline).  Never throws.
-  std::string handle_line(std::string_view line) override;
-
   /// True once a shutdown request has been handled.
   bool shutdown_requested() const override {
     return shutdown_.load(std::memory_order_acquire);
+  }
+
+ protected:
+  std::string respond(const ServiceRequest& request) override {
+    return handle(request).to_json(0);
   }
 
  private:
@@ -354,24 +413,25 @@ struct ServeOptions {
   /// 0 (default): serial dispatch — one request at a time, responses in
   /// request order (the historical behavior).
   ///
-  /// N >= 1: PIPELINED dispatch.  Work verbs (analyze/perturb/optimize)
-  /// fan out across up to N in-flight dispatch slots and their responses
-  /// return OUT OF ORDER, correlated by `id`; reading stalls while all N
-  /// slots are busy — connection-level backpressure, so a client that
-  /// floods requests is throttled by its own unfinished work.  Response
-  /// BYTES are identical to serial mode; only the order changes.  Two
-  /// verb classes keep deterministic ordering: job-control verbs
-  /// (submit/poll/wait/cancel/jobs) and stats run inline on the reading
-  /// thread in request order (they are cheap; a `wait` deliberately
-  /// blocks the stream — pipelining clients should poll), and registry-
-  /// mutating verbs (load_netlist/evict/shutdown) BARRIER: in-flight work
-  /// drains first, then they run inline.  That makes scripted
-  /// conversations (load, then queries) mean the same thing pipelined as
-  /// serial.
+  /// N >= 1: PIPELINED dispatch, by each verb's VerbClass in the verb
+  /// table.  Work verbs fan out across up to N in-flight dispatch slots
+  /// and their responses return OUT OF ORDER, correlated by `id`; reading
+  /// stalls while all N slots are busy — connection-level backpressure,
+  /// so a client that floods requests is throttled by its own unfinished
+  /// work.  Response BYTES are identical to serial mode; only the order
+  /// changes.  The other two classes keep deterministic ordering: Inline
+  /// verbs (job control and stats) run on the reading thread in request
+  /// order (they are cheap; a `wait` deliberately blocks the stream —
+  /// pipelining clients should poll), and Barrier verbs (the registry-
+  /// mutating ones and shutdown) let in-flight work drain first, then run
+  /// inline.  That makes scripted conversations (load, then queries) mean
+  /// the same thing pipelined as serial.  Lines that name no verb answer
+  /// inline.
   std::size_t max_inflight = 0;
 
-  /// Deterministic fault injection (util/fault_inject.hpp), consulted
-  /// once per received request line BEFORE dispatch.  Null = no faults.
+  /// Deterministic fault injection (protest/fault_inject.hpp), consulted
+  /// by serve_ndjson once per received request line BEFORE dispatch.
+  /// Null = no faults.
   /// This is how `protest __serve-worker` arms PROTEST_FAULT_INJECT; the
   /// pointer must outlive the serve call.
   FaultInjector* injector = nullptr;

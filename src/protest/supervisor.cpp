@@ -70,107 +70,93 @@ extern char** environ;
 namespace protest {
 namespace {
 
-/// Strict non-negative integral conversion — the same guard the service
-/// protocol applies to request ids.
-std::uint64_t guarded_uint(const JsonValue& v) {
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0)
-    throw std::runtime_error("expected a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
+/// Reads canonical JsonWriter(0) bytes in place: literal text, unsigned
+/// integers and escape-free strings.  Every worker line is a
+/// ServiceResponse::to_json(0), so its head sits at a fixed position; the
+/// supervisor reads heads through this cursor and copies every byte after
+/// them unread.
+struct HeadCursor {
+  std::string_view s;
+  std::size_t at = 0;
 
-/// Parses the canonical response head `{"id":<digits>,` every worker
-/// response carries (our own JsonWriter emits id first, compactly).
-/// Anything else is protocol corruption.
-bool parse_response_id(std::string_view line, std::uint64_t* id) {
-  constexpr std::string_view kPrefix = "{\"id\":";
-  if (line.size() <= kPrefix.size() ||
-      line.compare(0, kPrefix.size(), kPrefix) != 0)
-    return false;
-  std::uint64_t v = 0;
-  std::size_t i = kPrefix.size();
-  bool any = false;
-  for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-    v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    any = true;
+  bool lit(std::string_view text) {
+    if (s.substr(at, text.size()) != text) return false;
+    at += text.size();
+    return true;
   }
-  if (!any || i >= line.size() || line[i] != ',') return false;
-  *id = v;
-  return true;
-}
-
-/// Splices a new id (and optionally a new verb echo — `wait` is served
-/// as a supervisor-side poll loop) into a canonical response line
-/// WITHOUT re-encoding the rest: result payloads keep their exact bytes,
-/// which is what preserves the service's byte-identity guarantees across
-/// the router.
-std::string rewrite_response_head(const std::string& line, std::uint64_t id,
-                                  const char* new_verb = nullptr) {
-  const std::size_t comma = line.find(',');
-  if (comma == std::string::npos) return line;
-  std::string out = "{\"id\":" + std::to_string(id) + line.substr(comma);
-  if (new_verb) {
-    constexpr std::string_view kVerbKey = "\"verb\":\"";
-    const std::size_t key = out.find(kVerbKey);
-    if (key != std::string::npos) {
-      const std::size_t open = key + kVerbKey.size();
-      const std::size_t close = out.find('"', open);
-      if (close != std::string::npos)
-        out = out.substr(0, open) + new_verb + out.substr(close);
-    }
+  bool uint(std::uint64_t* v) {
+    const std::size_t begin = at;
+    *v = 0;
+    for (; at < s.size() && s[at] >= '0' && s[at] <= '9'; ++at)
+      *v = *v * 10 + static_cast<std::uint64_t>(s[at] - '0');
+    return at > begin;
   }
-  return out;
+  /// A string body up to its closing quote (the opening one is part of
+  /// the preceding literal); `v` may be null to skip it.
+  bool text(std::string* v) {
+    const std::size_t close = s.find('"', at);
+    if (close == std::string_view::npos) return false;
+    const std::string_view body = s.substr(at, close - at);
+    if (body.find('\\') != std::string_view::npos) return false;
+    if (v) *v = body;
+    at = close + 1;
+    return true;
+  }
+};
+
+/// The canonical head of a worker response line,
+/// `{"id":N,"verb":"V","ok":B,` then `"result":` or
+/// `"error":{"code":"C",`.  A line without one is protocol corruption.
+struct ResponseHead {
+  std::uint64_t id = 0;
+  bool ok = false;
+  std::string code;        ///< the error code ("" when ok)
+  std::size_t tail = 0;    ///< offset of `,"ok":`, where a relay resumes
+  std::size_t result = 0;  ///< offset of the result value (ok lines)
+};
+
+std::optional<ResponseHead> read_response_head(std::string_view line) {
+  HeadCursor c{line};
+  ResponseHead h;
+  if (!c.lit("{\"id\":") || !c.uint(&h.id) || !c.lit(",\"verb\":\"") ||
+      !c.text(nullptr))
+    return std::nullopt;
+  h.tail = c.at;
+  if (c.lit(",\"ok\":true,\"result\":")) {
+    h.ok = true;
+    h.result = c.at;
+    return h;
+  }
+  if (c.lit(",\"ok\":false,\"error\":{\"code\":\"") && c.text(&h.code))
+    return h;
+  return std::nullopt;
 }
 
-/// Rewrites the first `"<marker>":<digits>` occurrence (used to map a
-/// worker-local job ticket id to its supervisor-global id in submit /
-/// poll / wait responses; the marker sits at a canonical position, ahead
-/// of any free-form payload text).
-std::string rewrite_number_after(const std::string& line,
-                                 std::string_view marker, std::uint64_t value) {
-  const std::size_t at = line.find(marker);
-  if (at == std::string::npos) return line;
-  std::size_t i = at + marker.size();
-  std::size_t end = i;
-  while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
-  if (end == i) return line;
-  return line.substr(0, i) + std::to_string(value) + line.substr(end);
+/// The ticket an ok submit/poll/wait/cancel result starts with,
+/// `{"job":N`, and the state that submit/poll/wait go on with,
+/// `,"verb":"L","state":"S"` ("" when absent).
+struct JobHead {
+  std::uint64_t job = 0;
+  std::string state;
+  std::size_t rest = 0;  ///< offset just past the ticket digits
+};
+
+std::optional<JobHead> read_job_head(std::string_view line,
+                                     const ResponseHead& head) {
+  if (!head.ok) return std::nullopt;
+  HeadCursor c{line, head.result};
+  JobHead j;
+  if (!c.lit("{\"job\":") || !c.uint(&j.job)) return std::nullopt;
+  j.rest = c.at;
+  if (c.lit(",\"verb\":\"") && c.text(nullptr) && c.lit(",\"state\":\""))
+    c.text(&j.state);
+  return j;
 }
 
-/// Extracts `"state":"<value>"` from a job payload (canonical format).
-std::string job_state_of(const std::string& line) {
-  constexpr std::string_view kKey = "\"state\":\"";
-  const std::size_t at = line.find(kKey);
-  if (at == std::string::npos) return "";
-  const std::size_t open = at + kKey.size();
-  const std::size_t close = line.find('"', open);
-  if (close == std::string::npos) return "";
-  return line.substr(open, close - open);
-}
-
-std::string failure_line(std::uint64_t id, std::string_view verb,
-                         const std::string& code, const std::string& message) {
-  return ServiceResponse::failure(id, verb, code, message).to_json(0);
-}
-
-/// The poll/wait payload of a job whose worker process died: the ticket
-/// survives the restart as an observable failure, never as an orphan.
-std::string lost_job_response(std::uint64_t id, std::string_view verb,
-                              std::uint64_t job, const std::string& label) {
-  JsonWriter w(0);
-  w.begin_object();
-  w.key("job").value(job);
-  w.key("verb").value(label);
-  w.key("state").value("failed");
-  w.key("error").value(
-      "worker_lost: the worker process running this job died");
-  w.end_object();
-  ServiceResponse resp;
-  resp.id = id;
-  resp.verb = std::string(verb);
-  resp.ok = true;
-  resp.result_json = w.str();
-  return resp.to_json(0);
+std::string failure_line(const ServiceRequest& req, const std::string& code,
+                         const std::string& message) {
+  return ServiceResponse::failure(req.id, to_string(req.verb), code, message)
+      .to_json(0);
 }
 
 bool write_fd_all(int fd, std::string_view data) {
@@ -196,6 +182,7 @@ struct Pending {
   enum class State { Waiting, Done, Lost };
   State state = State::Waiting;
   std::string response;   ///< raw worker line (internal id still in place)
+  ResponseHead head;      ///< read once, by the demultiplexer
   bool heartbeat = false; ///< monitor ping: response is discarded
 };
 
@@ -425,8 +412,8 @@ struct Supervisor::Impl {
   void on_worker_line(Worker& w, std::string line) {
     const std::lock_guard<std::mutex> lock(mu);
     w.last_line = Clock::now();
-    std::uint64_t id = 0;
-    if (!parse_response_id(line, &id)) {
+    std::optional<ResponseHead> head = read_response_head(line);
+    if (!head) {
       // Not a response head: protocol corruption.  The worker is beyond
       // trusting — kill it; the EOF path retries/fails its pendings, so
       // corrupt bytes are never forwarded to a client.
@@ -437,7 +424,7 @@ struct Supervisor::Impl {
       kill_worker_locked(w);
       return;
     }
-    const auto it = w.pending.find(id);
+    const auto it = w.pending.find(head->id);
     if (it == w.pending.end()) return;  // abandoned (deadline backstop): drop
     const std::shared_ptr<Pending> p = it->second;
     w.pending.erase(it);
@@ -449,6 +436,7 @@ struct Supervisor::Impl {
     }
     p->state = Pending::State::Done;
     p->response = std::move(line);
+    p->head = std::move(*head);
     cv.notify_all();
   }
 
@@ -640,21 +628,25 @@ struct Supervisor::Impl {
 
   struct ForwardResult {
     enum class Kind { Ok, Lost, Timeout, Unavailable };
-    Kind kind = Kind::Lost;
-    std::string line;  ///< set when Ok: raw worker response (internal id)
+    ForwardResult(Kind k, std::string l = {}, ResponseHead h = {})
+        : kind(k), line(std::move(l)), head(std::move(h)) {}
+    Kind kind;
+    std::string line;   ///< set when Ok: raw worker response (internal id)
+    ResponseHead head;  ///< set when Ok: the line's head
   };
 
-  /// Forwards `req` to worker `widx` and waits for its response.
-  /// `retryable` re-forwards ONCE after a worker loss (the idempotent
-  /// read verbs).  `backstop` is the supervisor-side deadline guard; a
-  /// pending that outlives it is abandoned (its late response dropped).
-  /// `require_generation`, when set, refuses to wait for a restart —
-  /// job-scoped requests are only meaningful against the generation the
-  /// ticket lives in.
-  ForwardResult forward(unsigned widx, ServiceRequest req, bool retryable,
+  /// Forwards `req` to worker `widx` and waits for its response.  A verb
+  /// the verb table marks `retried` (the idempotent reads) is re-forwarded
+  /// ONCE after a worker loss.  `backstop` is the supervisor-side
+  /// deadline guard; a pending that outlives it is abandoned (its late
+  /// response dropped).  `require_generation`, when set, refuses to wait
+  /// for a restart — job-scoped requests are only meaningful against the
+  /// generation the ticket lives in.
+  ForwardResult forward(unsigned widx, ServiceRequest req,
                         const std::optional<Clock::time_point>& backstop,
                         std::optional<std::uint64_t> require_generation =
                             std::nullopt) {
+    const bool retryable = spec_of(req.verb).retried;
     for (int attempt = 0;; ++attempt) {
       std::shared_ptr<Pending> p;
       std::uint64_t internal = 0;
@@ -665,20 +657,19 @@ struct Supervisor::Impl {
         Worker& w = *workers[widx];
         for (;;) {
           if (draining && w.state != Worker::State::Up)
-            return {ForwardResult::Kind::Unavailable, ""};
+            return {ForwardResult::Kind::Unavailable};
           if (w.state == Worker::State::Up) {
             if (require_generation && w.generation != *require_generation)
-              return {ForwardResult::Kind::Lost, ""};
+              return {ForwardResult::Kind::Lost};
             break;
           }
           if (w.state == Worker::State::Abandoned)
-            return {ForwardResult::Kind::Unavailable, ""};
-          if (require_generation)
-            return {ForwardResult::Kind::Lost, ""};
+            return {ForwardResult::Kind::Unavailable};
+          if (require_generation) return {ForwardResult::Kind::Lost};
           if (backstop) {
             if (cv.wait_until(lock, *backstop) == std::cv_status::timeout &&
                 Clock::now() >= *backstop)
-              return {ForwardResult::Kind::Timeout, ""};
+              return {ForwardResult::Kind::Timeout};
           } else {
             cv.wait(lock);
           }
@@ -711,48 +702,41 @@ struct Supervisor::Impl {
               // Abandon: the id leaves the map, so a late response from a
               // merely-slow worker is dropped, not misdelivered.
               wp->pending.erase(internal);
-              return {ForwardResult::Kind::Timeout, ""};
+              return {ForwardResult::Kind::Timeout};
             }
           } else {
             cv.wait(lock);
           }
         }
         if (p->state == Pending::State::Done)
-          return {ForwardResult::Kind::Ok, std::move(p->response)};
+          return {ForwardResult::Kind::Ok, std::move(p->response),
+                  std::move(p->head)};
         // Lost: the worker died with the request in flight.
         if (retryable && attempt == 0 && !draining) {
           ++counters.retries;
           continue;  // the restarted worker replays netlists before Up
         }
-        return {ForwardResult::Kind::Lost, ""};
+        return {ForwardResult::Kind::Lost};
       }
     }
   }
 
   /// Converts a non-Ok forward into the structured client response.
-  std::string forward_error(const ForwardResult& r, std::uint64_t id,
-                            std::string_view verb,
-                            const ServiceRequest& req) {
+  std::string forward_error(const ForwardResult& r, const ServiceRequest& req) {
     const std::lock_guard<std::mutex> lock(mu);
-    switch (r.kind) {
-      case ForwardResult::Kind::Timeout:
-        ++counters.timeouts;
-        return failure_line(id, verb, "deadline_exceeded",
-                            "request exceeded its deadline_ms=" +
-                                std::to_string(req.deadline_ms.value_or(0)) +
-                                " budget (supervisor backstop)");
-      case ForwardResult::Kind::Lost:
-      case ForwardResult::Kind::Unavailable:
-      default:
-        ++counters.worker_lost;
-        return failure_line(id, verb, "worker_lost",
-                            "the worker owning this request died" +
-                                std::string(r.kind ==
-                                                    ForwardResult::Kind::
-                                                        Unavailable
-                                                ? " and is not coming back"
-                                                : " while handling it"));
+    if (r.kind == ForwardResult::Kind::Timeout) {
+      ++counters.timeouts;
+      return failure_line(req, "deadline_exceeded",
+                          "request exceeded its deadline_ms=" +
+                              std::to_string(req.deadline_ms.value_or(0)) +
+                              " budget (supervisor backstop)");
     }
+    ++counters.worker_lost;
+    return failure_line(req, "worker_lost",
+                        std::string("the worker owning this request died") +
+                            (r.kind == ForwardResult::Kind::Unavailable
+                                 ? " and is not coming back"
+                                 : " while handling it"));
   }
 
   std::optional<Clock::time_point> backstop_of(const ServiceRequest& req) {
@@ -761,20 +745,30 @@ struct Supervisor::Impl {
            opts.deadline_grace;
   }
 
-  /// Relay bookkeeping shared by every Ok forward.
-  std::string relay(const ForwardResult& r, std::uint64_t client_id,
-                    const char* new_verb = nullptr) {
-    if (r.line.find("\"code\":\"deadline_exceeded\"") != std::string::npos) {
+  /// The client's copy of an Ok forward: the worker line with the
+  /// client's id and verb in its head and, when `ticket` is set,
+  /// ticket->job in place of the worker's ticket.  Every other byte is
+  /// the worker's.  A line whose own error code is deadline_exceeded counts
+  /// as a timeout; a job result that merely embeds one does not.
+  std::string relay(const ForwardResult& r, const ServiceRequest& req,
+                    const std::optional<JobHead>& ticket = std::nullopt) {
+    const ResponseHead& h = r.head;
+    if (!h.ok && h.code == "deadline_exceeded") {
       const std::lock_guard<std::mutex> lock(mu);
       ++counters.timeouts;
     }
-    return rewrite_response_head(r.line, client_id, new_verb);
+    std::string out = "{\"id\":" + std::to_string(req.id) + ",\"verb\":\"";
+    out += to_string(req.verb);
+    out += '"';
+    if (!ticket) return out.append(r.line, h.tail);
+    out.append(r.line, h.tail, h.result - h.tail);
+    out += "{\"job\":" + std::to_string(ticket->job);
+    return out.append(r.line, ticket->rest);
   }
 
   // --- verb routing ---------------------------------------------------------
 
   std::string route(const ServiceRequest& req) {
-    const std::string_view verb = to_string(req.verb);
     switch (req.verb) {
       case ServiceVerb::Stats:
         if (req.netlist.empty()) return local_stats(req);
@@ -783,154 +777,86 @@ struct Supervisor::Impl {
       case ServiceVerb::Perturb:
       case ServiceVerb::Lint:
       case ServiceVerb::FaultBounds:
-        return route_netlist(req, /*retryable=*/true);
       case ServiceVerb::Optimize:
       case ServiceVerb::Evict:
-        // Not idempotent (optimize is stochastic and expensive; evict
-        // mutates residency): a worker loss answers worker_lost.
-        return route_netlist(req, /*retryable=*/false);
+        return route_netlist(req);
       case ServiceVerb::LoadNetlist:
         return route_load(req);
       case ServiceVerb::Submit:
         return route_submit(req);
       case ServiceVerb::Poll:
       case ServiceVerb::Cancel:
-        return route_job(req);
       case ServiceVerb::Wait:
-        return route_wait(req);
+        return route_job(req);
       case ServiceVerb::Jobs:
         return route_jobs(req);
       case ServiceVerb::Shutdown:
         return route_shutdown(req);
     }
-    return failure_line(req.id, verb, "unknown_verb", "unhandled verb");
+    return failure_line(req, "unknown_verb", "unhandled verb");
   }
 
-  std::string route_netlist(const ServiceRequest& req, bool retryable) {
-    const unsigned widx = worker_for_netlist(req.netlist, opts.workers);
-    const ForwardResult r =
-        forward(widx, req, retryable, backstop_of(req));
-    if (r.kind != ForwardResult::Kind::Ok)
-      return forward_error(r, req.id, to_string(req.verb), req);
-    return relay(r, req.id);
+  std::string route_netlist(const ServiceRequest& req) {
+    const ForwardResult r = forward(
+        worker_for_netlist(req.netlist, opts.workers), req, backstop_of(req));
+    if (r.kind != ForwardResult::Kind::Ok) return forward_error(r, req);
+    return relay(r, req);
   }
 
   std::string route_load(const ServiceRequest& req) {
-    const unsigned widx = worker_for_netlist(req.netlist, opts.workers);
-    const ForwardResult r =
-        forward(widx, req, /*retryable=*/false, backstop_of(req));
-    if (r.kind != ForwardResult::Kind::Ok)
-      return forward_error(r, req.id, to_string(req.verb), req);
-    if (r.line.find("\"ok\":true") != std::string::npos &&
-        !req.netlist.empty()) {
+    const ForwardResult r = forward(
+        worker_for_netlist(req.netlist, opts.workers), req, backstop_of(req));
+    if (r.kind != ForwardResult::Kind::Ok) return forward_error(r, req);
+    if (r.head.ok) {
       const std::lock_guard<std::mutex> lock(mu);
       placement[req.netlist] = req;  // replayed into restarted workers
     }
-    return relay(r, req.id);
+    return relay(r, req);
   }
 
   std::string route_submit(const ServiceRequest& req) {
     if (!req.subrequest)
-      return failure_line(req.id, "submit", "bad_request",
+      return failure_line(req, "bad_request",
                           "submit requires a 'request' object (the verb to "
                           "run as a job)");
     const unsigned widx =
         worker_for_netlist(req.subrequest->netlist, opts.workers);
-    const ForwardResult r =
-        forward(widx, req, /*retryable=*/false, backstop_of(req));
-    if (r.kind != ForwardResult::Kind::Ok)
-      return forward_error(r, req.id, "submit", req);
+    const ForwardResult r = forward(widx, req, backstop_of(req));
+    if (r.kind != ForwardResult::Kind::Ok) return forward_error(r, req);
     // Map the worker-local ticket to a supervisor-global one.
-    std::uint64_t local = 0;
-    bool ok = false;
-    try {
-      const JsonValue doc = parse_json(r.line);
-      ok = doc.at("ok").as_bool();
-      if (ok) local = guarded_uint(doc.at("result").at("job"));
-    } catch (const std::exception&) {
-      ok = false;
-    }
-    if (!ok) return relay(r, req.id);  // validation error: relay as-is
-    std::uint64_t global;
+    std::optional<JobHead> ticket = read_job_head(r.line, r.head);
+    if (!ticket) return relay(r, req);  // validation error: relay as-is
     {
       const std::lock_guard<std::mutex> lock(mu);
-      global = next_job++;
-      job_map[global] = {widx, local, workers[widx]->generation,
+      const std::uint64_t global = next_job++;
+      job_map[global] = {widx, ticket->job, workers[widx]->generation,
                          std::string(to_string(req.subrequest->verb))};
+      ticket->job = global;
     }
-    return rewrite_number_after(relay(r, req.id), "\"result\":{\"job\":",
-                                global);
+    return relay(r, req, ticket);
   }
 
-  std::string route_job(const ServiceRequest& req) {
-    const std::string_view verb = to_string(req.verb);
-    if (!req.job)
-      return failure_line(req.id, verb, "bad_request",
-                          "verb '" + std::string(verb) +
-                              "' requires a 'job' ticket id");
-    JobEntry entry;
-    bool lost = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      const auto it = job_map.find(*req.job);
-      if (it == job_map.end())
-        return failure_line(req.id, verb, "unknown_job",
-                            "no job with ticket id " +
-                                std::to_string(*req.job));
-      entry = it->second;
-      const Worker& w = *workers[entry.worker];
-      lost = w.state != Worker::State::Up || w.generation != entry.generation;
-    }
-    if (lost) return lost_response(req, verb, entry);
-    ServiceRequest fwd = req;
-    fwd.job = entry.local;
-    const ForwardResult r = forward(entry.worker, fwd, /*retryable=*/false,
-                                    backstop_of(req), entry.generation);
-    if (r.kind == ForwardResult::Kind::Lost ||
-        r.kind == ForwardResult::Kind::Unavailable)
-      return lost_response(req, verb, entry);
-    if (r.kind != ForwardResult::Kind::Ok)
-      return forward_error(r, req.id, verb, req);
-    return rewrite_number_after(relay(r, req.id), "\"result\":{\"job\":",
-                                *req.job);
-  }
-
-  /// The ticket's process died: poll/wait answer the job as failed with
-  /// a worker_lost error; cancel reports nothing left to cancel.
-  std::string lost_response(const ServiceRequest& req, std::string_view verb,
-                            const JobEntry& entry) {
-    if (req.verb == ServiceVerb::Cancel) {
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("job").value(*req.job);
-      w.key("requested").value(false);
-      w.end_object();
-      ServiceResponse resp;
-      resp.id = req.id;
-      resp.verb = std::string(verb);
-      resp.ok = true;
-      resp.result_json = w.str();
-      return resp.to_json(0);
-    }
-    return lost_job_response(req.id, verb, *req.job, entry.label);
-  }
-
-  /// `wait` never forwards as wait: the worker would block its inline
-  /// verb lane (shared with heartbeats) for the whole wait.  The
+  /// poll, cancel and wait, at the worker and generation holding the
+  /// ticket.  `wait` never forwards as wait: the worker would block its
+  /// inline verb lane (shared with heartbeats) for the whole wait.  The
   /// supervisor polls instead, so a long wait costs the worker nothing
   /// and wedge detection keeps working throughout.
-  std::string route_wait(const ServiceRequest& req) {
+  std::string route_job(const ServiceRequest& req) {
     if (!req.job)
-      return failure_line(req.id, "wait", "bad_request",
-                          "verb 'wait' requires a 'job' ticket id");
+      return failure_line(req, "bad_request",
+                          "verb '" + std::string(to_string(req.verb)) +
+                              "' requires a 'job' ticket id");
+    const bool wait = req.verb == ServiceVerb::Wait;
     const auto started = Clock::now();
     const auto backstop = backstop_of(req);
     const bool bounded = req.timeout_ms.has_value();
     const std::chrono::milliseconds budget{
         bounded ? static_cast<std::int64_t>(*req.timeout_ms) : 0};
-    ServiceRequest poll = req;
-    poll.verb = ServiceVerb::Poll;
-    poll.timeout_ms.reset();
+    ServiceRequest fwd = req;
+    if (wait) {
+      fwd.verb = ServiceVerb::Poll;
+      fwd.timeout_ms.reset();
+    }
     for (;;) {
       JobEntry entry;
       bool lost = false;
@@ -938,7 +864,7 @@ struct Supervisor::Impl {
         const std::lock_guard<std::mutex> lock(mu);
         const auto it = job_map.find(*req.job);
         if (it == job_map.end())
-          return failure_line(req.id, "wait", "unknown_job",
+          return failure_line(req, "unknown_job",
                               "no job with ticket id " +
                                   std::to_string(*req.job));
         entry = it->second;
@@ -946,27 +872,42 @@ struct Supervisor::Impl {
         lost =
             w.state != Worker::State::Up || w.generation != entry.generation;
       }
-      if (lost) return lost_job_response(req.id, "wait", *req.job, entry.label);
-      ServiceRequest fwd = poll;
+      if (lost) return lost_response(req, entry);
       fwd.job = entry.local;
-      const ForwardResult r = forward(entry.worker, fwd, /*retryable=*/false,
-                                      backstop, entry.generation);
+      const ForwardResult r =
+          forward(entry.worker, fwd, backstop, entry.generation);
       if (r.kind == ForwardResult::Kind::Lost ||
           r.kind == ForwardResult::Kind::Unavailable)
-        return lost_job_response(req.id, "wait", *req.job, entry.label);
-      if (r.kind != ForwardResult::Kind::Ok)
-        return forward_error(r, req.id, "wait", req);
-      const std::string state = job_state_of(r.line);
-      const bool terminal =
-          state == "done" || state == "failed" || state == "cancelled";
-      const bool out_of_time =
-          bounded && (Clock::now() - started) >= budget;
-      if (terminal || out_of_time || state.empty()) {
-        return rewrite_number_after(relay(r, req.id, "wait"),
-                                    "\"result\":{\"job\":", *req.job);
-      }
+        return lost_response(req, entry);
+      if (r.kind != ForwardResult::Kind::Ok) return forward_error(r, req);
+      std::optional<JobHead> ticket = read_job_head(r.line, r.head);
+      if (ticket) ticket->job = *req.job;  // back to the global ticket
+      const std::string state = ticket ? ticket->state : "";
+      const bool terminal = state.empty() || state == "done" ||
+                            state == "failed" || state == "cancelled";
+      if (!wait || terminal || (bounded && Clock::now() - started >= budget))
+        return relay(r, req, ticket);
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
+  }
+
+  /// The ticket's process died: poll/wait answer the job as failed with
+  /// a worker_lost error, so it survives the restart as an observable
+  /// failure, never as an orphan; cancel reports nothing left to cancel.
+  std::string lost_response(const ServiceRequest& req, const JobEntry& entry) {
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("job").value(*req.job);
+    if (req.verb == ServiceVerb::Cancel) {
+      w.key("requested").value(false);
+    } else {
+      w.key("verb").value(entry.label);
+      w.key("state").value("failed");
+      w.key("error").value(
+          "worker_lost: the worker process running this job died");
+    }
+    w.end_object();
+    return ServiceResponse::success(req, w.str()).to_json(0);
   }
 
   std::string route_jobs(const ServiceRequest& req) {
@@ -992,14 +933,13 @@ struct Supervisor::Impl {
     for (const auto& [widx, gen] : live) {
       ServiceRequest fwd;
       fwd.verb = ServiceVerb::Jobs;
-      const ForwardResult r =
-          forward(widx, fwd, /*retryable=*/false, backstop_of(req), gen);
+      const ForwardResult r = forward(widx, fwd, backstop_of(req), gen);
       if (r.kind != ForwardResult::Kind::Ok) continue;  // merged as lost below
       try {
         const JsonValue doc = parse_json(r.line);
         for (const JsonValue& j :
              doc.at("result").at("jobs").as_array()) {
-          reported[{widx, gen}][guarded_uint(j.at("job"))] =
+          reported[{widx, gen}][protocol_uint(j.at("job"))] =
               j.at("state").as_string();
         }
       } catch (const std::exception&) {
@@ -1040,12 +980,7 @@ struct Supervisor::Impl {
     }
     w.end_array();
     w.end_object();
-    ServiceResponse resp;
-    resp.id = req.id;
-    resp.verb = "jobs";
-    resp.ok = true;
-    resp.result_json = w.str();
-    return resp.to_json(0);
+    return ServiceResponse::success(req, w.str()).to_json(0);
   }
 
   std::string local_stats(const ServiceRequest& req) {
@@ -1087,12 +1022,7 @@ struct Supervisor::Impl {
     w.key("max_restarts").value(static_cast<std::uint64_t>(opts.max_restarts));
     w.end_object();
     w.end_object();
-    ServiceResponse resp;
-    resp.id = req.id;
-    resp.verb = "stats";
-    resp.ok = true;
-    resp.result_json = w.str();
-    return resp.to_json(0);
+    return ServiceResponse::success(req, w.str()).to_json(0);
   }
 
   /// Drain, then stop every worker, then reap: outstanding requests get
@@ -1104,7 +1034,8 @@ struct Supervisor::Impl {
     {
       std::unique_lock<std::mutex> lock(mu);
       if (shutdown.load())  // idempotent: a second shutdown just echoes
-        return simple_ok(req.id, "shutdown", "{\"shutting_down\":true}");
+        return ServiceResponse::success(req, "{\"shutting_down\":true}")
+            .to_json(0);
       draining = true;
       const auto count_pending = [this] {
         std::size_t n = 0;
@@ -1174,17 +1105,8 @@ struct Supervisor::Impl {
       cv.notify_all();
       monitor_cv.notify_all();
     }
-    return simple_ok(req.id, "shutdown", "{\"shutting_down\":true}");
-  }
-
-  static std::string simple_ok(std::uint64_t id, std::string_view verb,
-                               std::string payload) {
-    ServiceResponse resp;
-    resp.id = id;
-    resp.verb = std::string(verb);
-    resp.ok = true;
-    resp.result_json = std::move(payload);
-    return resp.to_json(0);
+    return ServiceResponse::success(req, "{\"shutting_down\":true}")
+        .to_json(0);
   }
 };
 
@@ -1204,29 +1126,11 @@ SupervisorCounters Supervisor::counters() const {
 
 const SupervisorOptions& Supervisor::options() const { return impl_->opts; }
 
-std::string Supervisor::handle_line(std::string_view line) {
-  // Mirrors ProtestService::handle_line: best-effort verb/id extraction
-  // so even undecodable requests get a correlatable structured error.
-  std::uint64_t id = 0;
-  std::string verb;
+std::string Supervisor::respond(const ServiceRequest& request) {
   try {
-    const JsonValue doc = parse_json(line);
-    if (doc.is_object()) {
-      if (const JsonValue* v = doc.find("verb"); v && v->is_string())
-        verb = v->as_string();
-      if (const JsonValue* v = doc.find("id"); v && v->is_number()) {
-        try {
-          id = guarded_uint(*v);
-        } catch (const std::exception&) {
-          id = 0;
-        }
-      }
-    }
-    return impl_->route(ServiceRequest::from_json_value(doc));
-  } catch (const ServiceError& e) {
-    return failure_line(id, verb, e.code(), e.what());
+    return impl_->route(request);
   } catch (const std::exception& e) {
-    return failure_line(id, verb, "bad_request", e.what());
+    return failure_line(request, "internal", e.what());
   }
 }
 
@@ -1248,7 +1152,7 @@ Supervisor::Supervisor(SupervisorOptions, std::ostream&) {
 
 Supervisor::~Supervisor() = default;
 
-std::string Supervisor::handle_line(std::string_view) { return ""; }
+std::string Supervisor::respond(const ServiceRequest&) { return ""; }
 
 bool Supervisor::shutdown_requested() const { return true; }
 

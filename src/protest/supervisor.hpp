@@ -17,13 +17,12 @@
 // Failure is a first-class input:
 //
 //  - CRASH: a worker that dies (EOF on its stdout) fails every request
-//    in flight on it.  Idempotent read verbs (analyze / perturb / lint /
-//    stats) are RETRIED once on the restarted worker — restart replays
-//    the placement table's load_netlist requests first, so the retry
-//    lands on a worker that knows the netlist.  Non-idempotent verbs
-//    (optimize, load_netlist, submit, job control) answer a structured
-//    `worker_lost` error immediately: never a hang, never a dropped
-//    connection.
+//    in flight on it.  Verbs the verb table marks `retried` (the
+//    idempotent reads, service.hpp) are RETRIED once on the restarted
+//    worker — restart replays the placement table's load_netlist
+//    requests first, so the retry lands on a worker that knows the
+//    netlist.  Every other verb answers a structured `worker_lost` error
+//    immediately: never a hang, never a dropped connection.
 //  - RESTART: crashed workers respawn with capped exponential backoff
 //    (util/backoff.hpp); after `max_restarts` consecutive failures the
 //    slot is abandoned and its requests answer `worker_lost`.
@@ -32,8 +31,8 @@
 //    long Monte-Carlo runs).  A worker silent past the heartbeat timeout
 //    is killed and takes the crash path.  This is what catches a stalled
 //    reader (fault injection: stall@verb) that an EOF check never would.
-//  - GARBAGE: a worker line that doesn't parse as a response head is
-//    protocol corruption; the worker is killed and takes the crash path
+//  - GARBAGE: a worker line without the canonical response head
+//    (`{"id":N,"verb":"V","ok":B,`) is protocol corruption; the worker is killed and takes the crash path
 //    (pending requests retry or answer worker_lost) — corrupted output
 //    is never forwarded to a client.
 //  - DEADLINE: `deadline_ms` rides through to the worker, whose
@@ -119,7 +118,7 @@ struct SupervisorOptions {
 struct SupervisorCounters {
   std::uint64_t restarts = 0;      ///< worker respawns performed
   std::uint64_t retries = 0;       ///< idempotent requests re-forwarded
-  std::uint64_t timeouts = 0;      ///< deadline_exceeded answers (worker + backstop)
+  std::uint64_t timeouts = 0;      ///< answers whose own error is deadline_exceeded (worker or backstop)
   std::uint64_t worker_lost = 0;   ///< requests answered worker_lost
   std::uint64_t wedges = 0;        ///< workers killed for missed heartbeats
   std::uint64_t garbage = 0;       ///< corrupt worker lines observed
@@ -135,11 +134,13 @@ class Supervisor : public ServiceEndpoint {
   Supervisor(SupervisorOptions options, std::ostream& log);
   ~Supervisor() override;
 
-  std::string handle_line(std::string_view line) override;
   bool shutdown_requested() const override;
 
   SupervisorCounters counters() const;
   const SupervisorOptions& options() const;
+
+ protected:
+  std::string respond(const ServiceRequest& request) override;
 
  private:
   struct Impl;

@@ -296,15 +296,21 @@ class CircuitChecker {
                "served analyze payload is not byte-identical to "
                "AnalysisResult::to_json(0)");
 
-    // The NDJSON front end is a pure framing layer over handle_line.
-    ProtestService fresh_service;
-    std::istringstream in(load.to_json(0) + "\n" + analyze.to_json(0) + "\n");
-    std::ostringstream out;
-    serve_ndjson(fresh_service, in, out);
-    count();
-    if (out.str() != load_line + "\n" + analyze_line + "\n")
-      disagree("serve_ndjson_vs_handle_line", spec_.name,
-               "serve_ndjson output differs from direct handle_line");
+    // The NDJSON front end is a pure framing layer over handle_line,
+    // serial or pipelined.
+    for (const std::size_t inflight : {0, 2}) {
+      ProtestService fresh_service;
+      std::istringstream in(load.to_json(0) + "\n" + analyze.to_json(0) +
+                            "\n");
+      std::ostringstream out;
+      serve_ndjson(fresh_service, in, out, ServeOptions{inflight});
+      count();
+      if (out.str() != load_line + "\n" + analyze_line + "\n")
+        disagree("serve_ndjson_vs_handle_line", spec_.name,
+                 "serve_ndjson output (max_inflight " +
+                     std::to_string(inflight) +
+                     ") differs from direct handle_line");
+    }
 
     if (net.inputs().size() > spec_.max_exhaustive_inputs) return;
     recheck::RecheckOptions ropts;

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "circuits/iscas.hpp"
@@ -96,6 +97,20 @@ TEST(Cli, SupervisedServeFlagValidation) {
       cli({"serve", "--workers", "2", "--fault-inject", "crash@analyze:0"})
           .code,
       2);
+  // So is a verb the protocol does not have, in-process or scoped to a
+  // worker this process never is.  An accepted spec would serve stdin, so
+  // an empty one makes a regression fail instead of hang.
+  std::istringstream no_requests;
+  std::streambuf* const stdin_buf = std::cin.rdbuf(no_requests.rdbuf());
+  const CliRun bad_verb = cli({"serve", "--fault-inject", "crash@analyse"});
+  EXPECT_EQ(bad_verb.code, 2);
+  EXPECT_NE(bad_verb.err.find("unknown verb"), std::string::npos)
+      << bad_verb.err;
+  EXPECT_EQ(
+      cli({"serve", "--workers", "2", "--fault-inject", "w1:crash@analyse"})
+          .code,
+      2);
+  std::cin.rdbuf(stdin_buf);
 }
 
 TEST(Cli, DeadlineFlagValidation) {

@@ -710,6 +710,54 @@ TEST(AsyncVerbs, JobControlErrorsAreStructured) {
   }
 }
 
+TEST(VerbTable, EveryVerbRoundTripsAndOnlyWorkVerbsAreSubmittable) {
+  // Every ServiceVerb, in declaration order (Jobs is the last one).
+  constexpr int kVerbCount = static_cast<int>(ServiceVerb::Jobs) + 1;
+  ASSERT_EQ(verb_table().size(), static_cast<std::size_t>(kVerbCount));
+  std::vector<std::string> work;
+  for (int v = 0; v < kVerbCount; ++v) {
+    const VerbSpec& spec = spec_of(static_cast<ServiceVerb>(v));
+    if (spec.dispatch == VerbClass::Work) work.emplace_back(spec.name);
+  }
+  std::sort(work.begin(), work.end());
+
+  ProtestService service;
+  for (int v = 0; v < kVerbCount; ++v) {
+    const auto verb = static_cast<ServiceVerb>(v);
+    const VerbSpec& spec = spec_of(verb);
+    EXPECT_EQ(spec.verb, verb);
+    EXPECT_EQ(to_string(verb), spec.name);
+    EXPECT_EQ(verb_from_string(spec.name), verb) << spec.name;
+    EXPECT_EQ(find_verb(spec.name), &spec) << spec.name;
+
+    ServiceRequest submit;
+    submit.verb = ServiceVerb::Submit;
+    submit.id = 1;
+    submit.subrequest = std::make_shared<ServiceRequest>();
+    submit.subrequest->verb = verb;
+    submit.subrequest->netlist = "ghost";
+    const ServiceResponse resp = service.handle(submit);
+    EXPECT_EQ(resp.ok, spec.dispatch == VerbClass::Work)
+        << spec.name << ": " << resp.error_message;
+    if (resp.ok) continue;
+    EXPECT_EQ(resp.error_code, "bad_request") << spec.name;
+    // The rejection names exactly the work verbs.
+    const std::string& msg = resp.error_message;
+    const std::string open = "only the work verbs ";
+    const std::size_t from = msg.find(open);
+    const std::size_t to = msg.find(" are submittable");
+    ASSERT_NE(from, std::string::npos) << msg;
+    ASSERT_NE(to, std::string::npos) << msg;
+    std::vector<std::string> named;
+    std::istringstream list(msg.substr(from + open.size(),
+                                       to - from - open.size()));
+    for (std::string name; std::getline(list, name, '/');)
+      named.push_back(name);
+    std::sort(named.begin(), named.end());
+    EXPECT_EQ(named, work) << msg;
+  }
+}
+
 // --- pipelined dispatch -----------------------------------------------------
 
 /// The workload both dispatch modes must answer identically: a load, a
@@ -1146,28 +1194,51 @@ TEST(ServeTcp, ConnectionLossCancelsInlineWorkButKeepsTickets) {
     return fd;
   };
 
+  // Every exit path, a failed ASSERT included, stops the daemon and joins
+  // its thread: destroying a joinable std::thread would abort the suite.
+  struct StopServer {
+    ProtestService& service;
+    std::thread& server;
+    ~StopServer() {
+      if (!server.joinable()) return;
+      ServiceRequest shutdown;
+      shutdown.verb = ServiceVerb::Shutdown;
+      service.handle(shutdown);
+      server.join();
+    }
+  } stop_server{service, server};
+
   const int rude = connect_client();
-  if (rude < 0) {
-    ServiceRequest shutdown;
-    shutdown.verb = ServiceVerb::Shutdown;
-    service.handle(shutdown);
-    server.join();
+  if (rude < 0)
     GTEST_SKIP() << "cannot connect over loopback in this environment";
-  }
   const linger hard_reset{1, 0};
   ::setsockopt(rude, SOL_SOCKET, SO_LINGER, &hard_reset, sizeof hard_reset);
   // Fast netlist for the ticket, deliberately slow one for the inline
   // analyze that will be abandoned mid-flight.
-  const std::string rude_script =
+  const std::string rude_setup =
       "{\"verb\":\"load_netlist\",\"id\":1,\"netlist\":\"c17\","
       "\"circuit\":\"c17\"}\n"
       "{\"verb\":\"load_netlist\",\"id\":2,\"netlist\":\"slow\","
       "\"circuit\":\"stress100k\",\"engine\":\"monte-carlo\","
       "\"patterns\":2000000}\n"
       "{\"verb\":\"submit\",\"id\":3,\"request\":{\"verb\":\"analyze\","
-      "\"id\":100,\"netlist\":\"c17\",\"p\":0.5}}\n"
+      "\"id\":100,\"netlist\":\"c17\",\"p\":0.5}}\n";
+  ::send(rude, rude_setup.data(), rude_setup.size(), 0);
+  // Read answers 1-3 first, so the ticket exists however long the loads
+  // take (a sanitizer build needs far more than a fixed sleep's worth).
+  timeval rude_timeout{120, 0};
+  ::setsockopt(rude, SOL_SOCKET, SO_RCVTIMEO, &rude_timeout,
+               sizeof rude_timeout);
+  std::string answered;
+  while (std::count(answered.begin(), answered.end(), '\n') < 3) {
+    char buf[4096];
+    const ssize_t n = ::recv(rude, buf, sizeof buf, 0);
+    ASSERT_GT(n, 0) << "answers so far: " << answered;
+    answered.append(buf, static_cast<std::size_t>(n));
+  }
+  const std::string rude_analyze =
       "{\"verb\":\"analyze\",\"id\":4,\"netlist\":\"slow\",\"p\":0.5}\n";
-  ::send(rude, rude_script.data(), rude_script.size(), 0);
+  ::send(rude, rude_analyze.data(), rude_analyze.size(), 0);
   // Give the slow analyze a moment to enter a dispatch slot, then reset
   // the connection under it.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

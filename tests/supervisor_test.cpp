@@ -19,7 +19,7 @@
 #include "protest/supervisor.hpp"
 #include "util/backoff.hpp"
 #include "util/cancel.hpp"
-#include "util/fault_inject.hpp"
+#include "protest/fault_inject.hpp"
 
 namespace protest {
 namespace {
@@ -94,7 +94,7 @@ TEST(FaultInject, MalformedSpecsAreHardErrors) {
   for (const char* spec :
        {"explode@analyze", "crash", "crash@", "crash@analyze:0",
         "crash@analyze:zillion", "w:crash@analyze", "wx:crash@analyze",
-        "crash@analyze:9999999"}) {
+        "crash@analyze:9999999", "crash@analyse", "w1:crash@analyse"}) {
     EXPECT_THROW(FaultInjector::parse(spec), std::invalid_argument) << spec;
   }
   // An inert injector never fires.
@@ -349,6 +349,26 @@ TEST(SupervisorProcess, CrashedWorkerRestartsAndIdempotentReadRetries) {
   EXPECT_NE(log.str().find("back up"), std::string::npos);
 
   EXPECT_TRUE(ask(sup, "{\"verb\":\"shutdown\",\"id\":3}").ok);
+
+  // The other retried work verbs take the same path.
+  for (const std::string verb : {"fault_bounds", "lint"}) {
+    std::ostringstream verb_log;
+    Supervisor verb_sup(fast_options(2, "crash@" + verb), verb_log);
+    ASSERT_TRUE(ask(verb_sup,
+                    "{\"verb\":\"load_netlist\",\"id\":1,"
+                    "\"netlist\":\"c17\",\"circuit\":\"c17\"}")
+                    .ok);
+    const ServiceResponse read = ask(
+        verb_sup,
+        "{\"verb\":\"" + verb + "\",\"id\":2,\"netlist\":\"c17\"}");
+    ASSERT_TRUE(read.ok) << verb << ": " << read.error_message;
+    EXPECT_EQ(read.verb, verb);
+    const SupervisorCounters verb_counters = verb_sup.counters();
+    EXPECT_EQ(verb_counters.restarts, 1u) << verb;
+    EXPECT_EQ(verb_counters.retries, 1u) << verb;
+    EXPECT_EQ(verb_counters.worker_lost, 0u) << verb;
+    EXPECT_TRUE(ask(verb_sup, "{\"verb\":\"shutdown\",\"id\":3}").ok);
+  }
 }
 
 TEST(SupervisorProcess, NonIdempotentVerbAnswersWorkerLost) {
@@ -536,6 +556,52 @@ TEST(SupervisorProcess, DeadlineBudgetAnswersDeadlineExceeded) {
   EXPECT_TRUE(ask(sup, "{\"verb\":\"shutdown\",\"id\":3}").ok);
 }
 
+TEST(SupervisorProcess, TimeoutsCountOnlyAnswersThatAreDeadlineExceeded) {
+  REQUIRE_SUPERVISOR();
+  std::ostringstream log;
+  Supervisor sup(fast_options(1, ""), log);
+
+  // div loads fast (well inside the heartbeat budget even in sanitizer
+  // builds), and 5e7 Monte-Carlo patterns take far longer than 50 ms.
+  ASSERT_TRUE(ask(sup,
+                  "{\"verb\":\"load_netlist\",\"id\":1,\"netlist\":\"mc\","
+                  "\"circuit\":\"div\",\"engine\":\"monte-carlo\","
+                  "\"patterns\":50000000}")
+                  .ok);
+  // A job whose inner request runs out of budget: every wait and poll
+  // embeds the deadline_exceeded response, but is itself an ok answer.
+  ASSERT_TRUE(ask(sup,
+                  "{\"verb\":\"submit\",\"id\":2,\"request\":{\"verb\":"
+                  "\"analyze\",\"id\":100,\"netlist\":\"mc\",\"p\":0.5,"
+                  "\"deadline_ms\":50}}")
+                  .ok);
+  const ServiceResponse wait =
+      ask(sup, "{\"verb\":\"wait\",\"id\":3,\"job\":1}");
+  ASSERT_TRUE(wait.ok) << wait.error_message;
+  const JsonValue done = parse_json(wait.result_json);
+  ASSERT_EQ(done.at("state").as_string(), "done");
+  EXPECT_EQ(done.at("response").at("error").at("code").as_string(),
+            "deadline_exceeded");
+  for (int id = 4; id <= 6; ++id) {
+    EXPECT_TRUE(ask(sup, "{\"verb\":\"poll\",\"id\":" + std::to_string(id) +
+                             ",\"job\":1}")
+                    .ok);
+  }
+  EXPECT_EQ(sup.counters().timeouts, 0u);
+
+  // An answer whose own code is deadline_exceeded counts once; later
+  // polls of the job leave the counter where it is.
+  const ServiceResponse late = ask(
+      sup,
+      "{\"verb\":\"analyze\",\"id\":7,\"netlist\":\"mc\",\"p\":0.5,"
+      "\"deadline_ms\":50}");
+  EXPECT_EQ(late.error_code, "deadline_exceeded");
+  EXPECT_EQ(sup.counters().timeouts, 1u);
+  EXPECT_TRUE(ask(sup, "{\"verb\":\"poll\",\"id\":8,\"job\":1}").ok);
+  EXPECT_EQ(sup.counters().timeouts, 1u);
+  EXPECT_TRUE(ask(sup, "{\"verb\":\"shutdown\",\"id\":9}").ok);
+}
+
 TEST(SupervisorProcess, MalformedLinesAnswerStructuredErrors) {
   REQUIRE_SUPERVISOR();
   std::ostringstream log;
@@ -554,6 +620,25 @@ TEST(SupervisorProcess, MalformedLinesAnswerStructuredErrors) {
       sup, "{\"verb\":\"analyze\",\"id\":4,\"netlist\":\"nope\",\"p\":0.5}");
   EXPECT_FALSE(unknown_netlist.ok);
   EXPECT_EQ(unknown_netlist.error_code, "unknown_netlist");
+
+  // The supervisor and the in-process service share one request decode,
+  // so every error line matches byte for byte.
+  ProtestService reference;
+  for (const char* line : {
+           "this is not json",
+           "[1,2,3]",
+           "{\"verb\":\"stats\",\"id\":-3}",
+           "{\"verb\":\"stats\",\"id\":1.5}",
+           "{\"verb\":\"stats\",\"id\":9007199254740994}",
+           "{\"verb\":\"frobnicate\",\"id\":6}",
+           "{\"verb\":\"analyze\",\"id\":7,\"wibble\":true}",
+           "{\"verb\":\"analyze\",\"id\":8,\"netlist\":9}",
+           "{\"verb\":\"submit\",\"id\":9,\"request\":{\"verb\":\"stats\"}}",
+       }) {
+    const std::string routed = sup.handle_line(line);
+    EXPECT_FALSE(ServiceResponse::from_json(routed).ok) << line;
+    EXPECT_EQ(routed, reference.handle_line(line)) << line;
+  }
   EXPECT_TRUE(ask(sup, "{\"verb\":\"shutdown\",\"id\":5}").ok);
 }
 

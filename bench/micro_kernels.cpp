@@ -55,13 +55,15 @@ void BM_ProtestEstimator(benchmark::State& state, const std::string& name) {
   for (auto _ : state) benchmark::DoNotOptimize(est.signal_probs(ip));
 }
 
-void BM_ProtestBatch16(benchmark::State& state, const std::string& name) {
+void BM_ProtestScreen16(benchmark::State& state, const std::string& name) {
   const Netlist& net = circuit(name);
   const ProtestEngine est(net);
-  std::vector<InputProbs> batch(16, uniform_input_probs(net, 0.5));
-  for (std::size_t t = 0; t < batch.size(); ++t)
-    batch[t][t % batch[t].size()] = 0.25;
-  for (auto _ : state) benchmark::DoNotOptimize(est.signal_probs_batch(batch));
+  const InputProbs base = uniform_input_probs(net, 0.5);
+  const Evaluation base_eval = est.evaluate(base);
+  for (auto _ : state)
+    for (std::size_t t = 0; t < 16; ++t)
+      benchmark::DoNotOptimize(
+          est.screen(base, base_eval, t % base.size(), 0.25));
   state.SetItemsProcessed(state.iterations() * 16);
 }
 
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
     reg("LogicSim64", name, BM_LogicSim64);
     reg("NaiveProbs", name, BM_NaiveProbs);
     reg("ProtestEstimator", name, BM_ProtestEstimator);
-    reg("ProtestBatch16", name, BM_ProtestBatch16);
+    reg("ProtestScreen16", name, BM_ProtestScreen16);
     reg("Observability", name, BM_Observability);
     reg("Scoap", name, BM_Scoap);
   }

@@ -4,8 +4,9 @@
 //     sharded across N workers (counter-based per-shard RNG streams, so
 //     the estimate is bit-identical to the serial run), and
 //   * neighborhood: the hill climber's per-coordinate objective sweeps
-//     (ObjectiveEvaluator::log_objectives_neighborhood) fanned across
-//     per-worker engine clones via session perturb_screen_sweep.
+//     (ObjectiveEvaluator::log_objectives_neighborhood) fanned across the
+//     session's executor via perturb_screen_sweep, every worker screening
+//     through the one shared engine.
 //
 // Emits BENCH_parallel_eval.json.  Targets (8 threads, >= 8 hardware
 // threads): >= 3x on the divider Monte-Carlo workload, >= 2x on the
@@ -59,9 +60,9 @@ double max_abs_diff(const std::vector<std::vector<double>>& a,
 void run_monte_carlo(bench::BenchJson& json, const std::string& circuit,
                      std::size_t num_patterns, std::size_t tuples) {
   const Netlist net = make_circuit(circuit);
-  std::vector<InputProbs> batch;
+  std::vector<InputProbs> inputs;
   for (std::size_t t = 0; t < tuples; ++t)
-    batch.push_back(uniform_input_probs(
+    inputs.push_back(uniform_input_probs(
         net, 0.25 + 0.5 * static_cast<double>(t) / static_cast<double>(tuples)));
 
   MonteCarloEngineParams params;
@@ -72,10 +73,14 @@ void run_monte_carlo(bench::BenchJson& json, const std::string& circuit,
   const MonteCarloEngine parallel(net, params);
 
   std::vector<std::vector<double>> serial_out, parallel_out;
-  const double t_serial =
-      bench::time_seconds([&] { serial_out = serial.signal_probs_batch(batch); });
-  const double t_parallel = bench::time_seconds(
-      [&] { parallel_out = parallel.signal_probs_batch(batch); });
+  const double t_serial = bench::time_seconds([&] {
+    for (const InputProbs& t : inputs)
+      serial_out.push_back(serial.signal_probs(t));
+  });
+  const double t_parallel = bench::time_seconds([&] {
+    for (const InputProbs& t : inputs)
+      parallel_out.push_back(parallel.signal_probs(t));
+  });
   const double diff = max_abs_diff(serial_out, parallel_out);
   const double speedup = t_parallel > 0.0 ? t_serial / t_parallel : 0.0;
 

@@ -1,21 +1,24 @@
-// The session's incremental perturb() path vs PR 1's batch path on the
+// The incremental perturb paths vs from-scratch evaluation on the
 // hill-climb neighborhood workload: the optimizer changes one coordinate
 // of the current operating point at a time, so each candidate differs
-// from the base tuple in exactly one input.  The batch path re-propagates
-// every gate for every candidate (sharing only the per-batch selection);
-// the incremental path re-evaluates just the changed input's fanout cone,
-// with exact single-tuple semantics.
+// from the base tuple in exactly one input.  A full evaluation
+// re-propagates every gate for every candidate; the incremental paths
+// re-evaluate just the changed input's fanout cone.
 //
 // Measured at two levels:
-//   * engine:    signal_probs_batch vs signal_probs_perturb (pure
-//                signal-probability cost), and
-//   * objective: ObjectiveEvaluator::log_objectives_batch vs
-//                log_objectives_neighborhood (the full hill-climb
-//                pipeline including observability + detection).
+//   * engine:    evaluate() per candidate vs perturb() (exact fidelity)
+//                and screen() (the base's conditioning sets), and
+//   * objective: ObjectiveEvaluator::log_objective per candidate (exact
+//                perturbs through the session) vs
+//                log_objectives_neighborhood (screens) — the full
+//                hill-climb pipeline including observability + detection.
 //
-// Emits BENCH_session_incremental.json.  Target: the incremental path
-// beats the batch path on the SN74181 (alu) and 16-bit divider
-// neighborhoods.  Run with --quick for a CI smoke (tiny workload).
+// Self-check (exit 1 on failure): every exact perturb equals its
+// candidate's full evaluation bit for bit, and every screen equals a full
+// evaluation of its candidate under the base's conditioning sets.
+//
+// Emits BENCH_session_incremental.json.  Run with --quick for a CI smoke
+// (tiny workload, still self-checked).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +36,9 @@ namespace {
 constexpr int kSteps[] = {8, -8, 4, -4, 2, -2, 1, -1};
 constexpr unsigned kDen = 16;
 
+/// A nonzero self-check diff flips this; main() exits 1.
+bool g_identical = true;
+
 /// Candidate grid values for one coordinate starting from k = 8.
 std::vector<double> candidate_values() {
   std::vector<double> vals;
@@ -42,6 +48,15 @@ std::vector<double> candidate_values() {
     vals.push_back(static_cast<double>(cand) / kDen);
   }
   return vals;
+}
+
+double max_abs_diff(const std::vector<std::vector<double>>& a,
+                    const std::vector<std::vector<double>>& b) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    for (std::size_t j = 0; j < a[i].size(); ++j)
+      m = std::max(m, std::abs(a[i][j] - b[i][j]));
+  return m;
 }
 
 void run_circuit(bench::BenchJson& json, const std::string& circuit,
@@ -54,99 +69,101 @@ void run_circuit(bench::BenchJson& json, const std::string& circuit,
               "coordinate\n",
               circuit.c_str(), net.inputs().size(), coords, net.num_gates(),
               cand.size());
-
-  // --- engine level ---------------------------------------------------
-  const auto engine = make_engine("protest", net);
-  std::vector<std::vector<InputProbs>> batches;
-  for (std::size_t i = 0; i < coords; ++i) {
-    std::vector<InputProbs> b = {base};
+  std::vector<InputProbs> tuples;  // coordinate-major, like the sweeps
+  for (std::size_t i = 0; i < coords; ++i)
     for (double v : cand) {
       InputProbs t = base;
       t[i] = v;
-      b.push_back(std::move(t));
+      tuples.push_back(std::move(t));
     }
-    batches.push_back(std::move(b));
-  }
-  const double t_engine_batch = bench::time_seconds([&] {
-    for (const auto& b : batches) engine->signal_probs_batch(b);
+
+  // --- engine level ---------------------------------------------------
+  const ProtestEngine engine(net);
+  std::vector<std::vector<double>> full, exact, screened;
+  const double t_full = bench::time_seconds([&] {
+    for (const InputProbs& t : tuples) full.push_back(engine.signal_probs(t));
   });
-  // The hill-climb fidelity: frozen-selection screening (bit-identical to
-  // the batch numbers above, minus the base re-evaluated per batch).
-  const double t_engine_screen = bench::time_seconds([&] {
-    const std::vector<double> base_probs = engine->signal_probs(base);
+  const Evaluation base_eval = engine.evaluate(base);
+  const double t_exact = bench::time_seconds([&] {
     for (std::size_t i = 0; i < coords; ++i)
       for (double v : cand)
-        engine->signal_probs_perturb(base, base_probs, i, v,
-                                     PerturbMode::FrozenSelection);
+        exact.push_back(engine.perturb(base, base_eval, i, v).probs);
   });
-  // Exact fidelity: per-gate re-selection inside the fanout cone.
-  const double t_engine_exact = bench::time_seconds([&] {
-    const std::vector<double> base_probs = engine->signal_probs(base);
+  const double t_screen = bench::time_seconds([&] {
     for (std::size_t i = 0; i < coords; ++i)
       for (double v : cand)
-        engine->signal_probs_perturb(base, base_probs, i, v,
-                                     PerturbMode::Exact);
+        screened.push_back(engine.screen(base, base_eval, i, v));
   });
+  std::vector<std::vector<double>> under_base;
+  for (const InputProbs& t : tuples)
+    under_base.push_back(
+        engine.estimator().evaluate_under(t, *base_eval.selection));
+  const double diff =
+      std::max(max_abs_diff(exact, full), max_abs_diff(screened, under_base));
 
   // --- objective level (full hill-climb pipeline) ---------------------
   const std::vector<Fault> faults = structural_fault_list(net);
   const std::uint64_t n_param = 10'000;
-  const ObjectiveEvaluator eval_batch(net, faults, n_param);
-  const ObjectiveEvaluator eval_inc(net, faults, n_param);
-  std::vector<std::vector<double>> batch_vals, inc_vals;
-  const double t_obj_batch = bench::time_seconds([&] {
-    for (const auto& b : batches)
-      batch_vals.push_back(eval_batch.log_objectives_batch(b));
-  });
-  const double t_obj_inc = bench::time_seconds([&] {
+  const ObjectiveEvaluator eval_exact(net, faults, n_param);
+  const ObjectiveEvaluator eval_screen(net, faults, n_param);
+  std::vector<std::vector<double>> exact_vals, screen_vals;
+  const double t_obj_exact = bench::time_seconds([&] {
     for (std::size_t i = 0; i < coords; ++i) {
-      const auto nb = eval_inc.log_objectives_neighborhood(base, i, cand);
-      std::vector<double> vals = {nb.base};
-      vals.insert(vals.end(), nb.candidates.begin(), nb.candidates.end());
-      inc_vals.push_back(std::move(vals));
+      std::vector<double> vals = {eval_exact.log_objective(base)};
+      for (std::size_t c = 0; c < cand.size(); ++c)
+        vals.push_back(eval_exact.log_objective(tuples[i * cand.size() + c]));
+      exact_vals.push_back(std::move(vals));
     }
   });
+  const double t_obj_screen = bench::time_seconds([&] {
+    for (std::size_t i = 0; i < coords; ++i) {
+      const auto nb = eval_screen.log_objectives_neighborhood(base, i, cand);
+      std::vector<double> vals = {nb.base};
+      vals.insert(vals.end(), nb.candidates.begin(), nb.candidates.end());
+      screen_vals.push_back(std::move(vals));
+    }
+  });
+  const double gap = max_abs_diff(exact_vals, screen_vals);
 
-  // Sanity: screening values are bit-for-bit the batch values (same base
-  // anchor, same frozen selections), so the gap must be exactly zero.
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < batch_vals.size(); ++i)
-    for (std::size_t c = 0; c < batch_vals[i].size(); ++c)
-      max_diff = std::max(
-          max_diff, std::abs(batch_vals[i][c] - inc_vals[i][c]));
-
-  const double screen_speedup =
-      t_engine_screen > 0.0 ? t_engine_batch / t_engine_screen : 0.0;
-  const double exact_speedup =
-      t_engine_exact > 0.0 ? t_engine_batch / t_engine_exact : 0.0;
-  const double obj_speedup = t_obj_inc > 0.0 ? t_obj_batch / t_obj_inc : 0.0;
-  const std::size_t tuples = coords * (cand.size() + 1);
-  TextTable t({"level", "fidelity", "tuples", "batch (s)", "incremental (s)",
-               "speedup"});
-  t.add_row({"engine", "screen", std::to_string(tuples),
-             fmt(t_engine_batch, 4), fmt(t_engine_screen, 4),
-             fmt(screen_speedup, 2) + "x"});
-  t.add_row({"engine", "exact", std::to_string(tuples),
-             fmt(t_engine_batch, 4), fmt(t_engine_exact, 4),
-             fmt(exact_speedup, 2) + "x"});
-  t.add_row({"objective", "hill-climb", std::to_string(tuples),
-             fmt(t_obj_batch, 4), fmt(t_obj_inc, 4),
+  const double screen_speedup = t_screen > 0.0 ? t_full / t_screen : 0.0;
+  const double exact_speedup = t_exact > 0.0 ? t_full / t_exact : 0.0;
+  const double obj_speedup =
+      t_obj_screen > 0.0 ? t_obj_exact / t_obj_screen : 0.0;
+  TextTable t({"level", "fidelity", "tuples", "baseline (s)",
+               "incremental (s)", "speedup"});
+  t.add_row({"engine", "screen", std::to_string(tuples.size()),
+             fmt(t_full, 4), fmt(t_screen, 4), fmt(screen_speedup, 2) + "x"});
+  t.add_row({"engine", "exact", std::to_string(tuples.size()),
+             fmt(t_full, 4), fmt(t_exact, 4), fmt(exact_speedup, 2) + "x"});
+  t.add_row({"objective", "hill-climb", std::to_string(tuples.size()),
+             fmt(t_obj_exact, 4), fmt(t_obj_screen, 4),
              fmt(obj_speedup, 2) + "x"});
   std::printf("%s", t.str().c_str());
-  std::printf("max |batch - screening| objective gap: %.3g (expected 0: "
-              "identical semantics)\n",
-              max_diff);
+  std::printf("engine baseline: evaluate() per candidate; objective "
+              "baseline: exact log_objective() per candidate\n");
+  std::printf("max |incremental - reference| probability diff: %.3g "
+              "(expected 0)\n",
+              diff);
+  std::printf("max |exact - screening| objective gap: %.3g (the screening "
+              "fidelity's cost)\n",
+              gap);
+  if (diff != 0.0) {
+    std::printf("ERROR: incremental paths must reproduce their reference "
+                "bit for bit!\n");
+    g_identical = false;
+  }
 
-  json.metric(circuit + ".tuples", static_cast<double>(tuples));
-  json.metric(circuit + ".engine.batch_seconds", t_engine_batch);
-  json.metric(circuit + ".engine.screen_seconds", t_engine_screen);
+  json.metric(circuit + ".tuples", static_cast<double>(tuples.size()));
+  json.metric(circuit + ".engine.full_seconds", t_full);
+  json.metric(circuit + ".engine.screen_seconds", t_screen);
   json.metric(circuit + ".engine.screen_speedup", screen_speedup);
-  json.metric(circuit + ".engine.exact_seconds", t_engine_exact);
+  json.metric(circuit + ".engine.exact_seconds", t_exact);
   json.metric(circuit + ".engine.exact_speedup", exact_speedup);
-  json.metric(circuit + ".objective.batch_seconds", t_obj_batch);
-  json.metric(circuit + ".objective.incremental_seconds", t_obj_inc);
+  json.metric(circuit + ".objective.exact_seconds", t_obj_exact);
+  json.metric(circuit + ".objective.screen_seconds", t_obj_screen);
   json.metric(circuit + ".objective.speedup", obj_speedup);
-  json.metric(circuit + ".max_objective_diff", max_diff);
+  json.metric(circuit + ".objective.max_gap", gap);
+  json.metric(circuit + ".max_diff", diff);
 }
 
 }  // namespace
@@ -156,7 +173,8 @@ int main(int argc, char** argv) {
   using namespace protest;
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
   bench::print_header(
-      "session incremental perturb vs PR 1 batch (hill-climb neighborhoods)");
+      "incremental perturb vs from-scratch evaluation (hill-climb "
+      "neighborhoods)");
   bench::BenchJson json("session_incremental");
   if (quick) {
     // CI smoke: two coordinates of the ALU, seconds of wall clock.
@@ -167,5 +185,5 @@ int main(int argc, char** argv) {
     run_circuit(json, "div", 8);
   }
   json.write();
-  return 0;
+  return g_identical ? 0 : 1;
 }

@@ -37,7 +37,9 @@ std::vector<NodeId> transitive_fanout(const Netlist& net, NodeId root) {
   return out;
 }
 
-const std::vector<NodeId>& InputFanoutCones::of(std::size_t input_index) {
+const std::vector<NodeId>& InputFanoutCones::of(
+    std::size_t input_index) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   if (cones_.empty()) cones_.resize(net_.inputs().size());
   std::vector<NodeId>& cone = cones_[input_index];
   // A cone always contains its root, so empty doubles as "not computed".

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -23,18 +24,20 @@ std::vector<NodeId> transitive_fanout(const Netlist& net, NodeId root);
 
 /// Lazy per-primary-input cache of transitive fanout cones — the work
 /// lists of incremental single-coordinate re-evaluation.  Each cone is
-/// computed on first request and kept for the cache's lifetime.
+/// computed on first request, under a lock, and kept for the cache's
+/// lifetime; concurrent callers are safe.
 class InputFanoutCones {
  public:
   explicit InputFanoutCones(const Netlist& net) : net_(net) {}
 
   /// Fanout cone of primary input `input_index` (including the input
   /// node), ascending (= topological).
-  const std::vector<NodeId>& of(std::size_t input_index);
+  const std::vector<NodeId>& of(std::size_t input_index) const;
 
  private:
   const Netlist& net_;
-  std::vector<std::vector<NodeId>> cones_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::vector<NodeId>> cones_;  ///< sized once
 };
 
 /// Reusable scratch state for repeated bounded-cone queries; avoids

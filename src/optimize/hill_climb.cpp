@@ -28,14 +28,12 @@ struct Climber {
   /// Each coordinate's neighborhood — the current point plus every
   /// in-range geometric step — goes through the evaluator's incremental
   /// path: the current point is analyzed exactly once (a session cache
-  /// hit while it doesn't move) and each candidate is a frozen-selection
-  /// screening perturb (AnalysisSession::perturb_screen) that
-  /// re-evaluates only that coordinate's fanout cone.  Candidate values
-  /// are bit-for-bit what the per-coordinate engine batches of the
-  /// previous implementation produced, so the climb visits the same
-  /// points at a fraction of the cost.
+  /// hit while it doesn't move) and each candidate is a screening
+  /// perturb (AnalysisSession::perturb_screen) that re-evaluates only that
+  /// coordinate's fanout cone under the conditioning sets selected at the
+  /// current point.
   ///
-  /// Screening values under a frozen conditioning selection are
+  /// Screening values under the current point's conditioning sets are
   /// approximate, so an accepted move is not guaranteed to improve the
   /// exact objective.  The climb therefore re-scores its start and each
   /// sweep's endpoint with exact evaluations and returns the best

@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "observe/detect.hpp"
-
 namespace protest {
 namespace {
 
@@ -54,22 +52,6 @@ std::vector<double> ObjectiveEvaluator::detection_probs(
   return session_.analyze(input_probs, detection_request()).detection_probs();
 }
 
-std::vector<std::vector<double>> ObjectiveEvaluator::detection_probs_batch(
-    std::span<const InputProbs> batch) const {
-  // Deliberately the engine-level batch (shared-selection semantics), not
-  // the session: this is the bulk entry point for unrelated tuples.
-  const std::vector<std::vector<double>> probs =
-      session_.engine().signal_probs_batch(batch);
-  const ObservabilityOptions obs_opts = session_.options().observability;
-  std::vector<std::vector<double>> out;
-  out.reserve(probs.size());
-  for (const std::vector<double>& p : probs) {
-    const Observability obs = compute_observability(netlist(), p, obs_opts);
-    out.push_back(protest::detection_probs(netlist(), faults(), p, obs));
-  }
-  return out;
-}
-
 double ObjectiveEvaluator::log_objective_from_probs(
     std::span<const double> probs) const {
   // Detection probabilities are floored at a tiny epsilon so that circuits
@@ -91,16 +73,6 @@ double ObjectiveEvaluator::log_objective(
   return log_objective_from_probs(detection_probs(input_probs));
 }
 
-std::vector<double> ObjectiveEvaluator::log_objectives_batch(
-    std::span<const InputProbs> batch) const {
-  const std::vector<std::vector<double>> pf = detection_probs_batch(batch);
-  std::vector<double> out;
-  out.reserve(pf.size());
-  for (const std::vector<double>& probs : pf)
-    out.push_back(log_objective_from_probs(probs));
-  return out;
-}
-
 ObjectiveEvaluator::NeighborhoodObjectives
 ObjectiveEvaluator::log_objectives_neighborhood(
     std::span<const double> base, std::size_t coord,
@@ -110,8 +82,8 @@ ObjectiveEvaluator::log_objectives_neighborhood(
   NeighborhoodObjectives out;
   out.base = log_objective_from_probs(base_result.detection_probs());
   // One sweep call: candidates (signal probs + observability + detection)
-  // fan out across the session's worker clones when parallelism is
-  // configured; detection_probs() below is a memoized read either way.
+  // fan out across the session's executor when parallelism is configured;
+  // detection_probs() below is a memoized read either way.
   const std::vector<AnalysisResult> screened =
       session_.perturb_screen_sweep(base_result, coord, values);
   out.candidates.reserve(values.size());

@@ -23,14 +23,15 @@ namespace protest {
 /// signal-probability stage is a pluggable SignalProbEngine evaluated
 /// through an internal AnalysisSession, so repeated tuples are cache hits
 /// and the hill climber's per-coordinate neighborhoods go through the
-/// session's incremental perturb() path — each candidate re-evaluates only
-/// the changed input's fanout cone, with exact single-tuple semantics.
+/// session's screening sweep — each candidate re-evaluates only the
+/// changed input's fanout cone, under the current point's conditioning
+/// sets.
 class ObjectiveEvaluator {
  public:
-  /// Evaluates through the given engine (must outlive the evaluator uses).
-  /// `parallel` sizes the neighborhood fan-out (per-worker engine clones
-  /// inside the session sweep); objective values are bit-identical for
-  /// every thread count.
+  /// Evaluates through the given engine, which other sessions may share.
+  /// `parallel` sizes the neighborhood fan-out (the session sweep's
+  /// executor); objective values are bit-identical for every thread
+  /// count.
   ObjectiveEvaluator(std::shared_ptr<const SignalProbEngine> engine,
                      std::vector<Fault> faults, std::uint64_t n_parameter,
                      ObservabilityOptions obs_opts = {},
@@ -45,30 +46,20 @@ class ObjectiveEvaluator {
   /// Estimated detection probability of every fault under X.
   std::vector<double> detection_probs(std::span<const double> input_probs) const;
 
-  /// Detection probabilities for every tuple of `batch`, evaluated through
-  /// the engine's batched entry point (see the engine for its sharing
-  /// semantics across the batch).
-  std::vector<std::vector<double>> detection_probs_batch(
-      std::span<const InputProbs> batch) const;
-
   /// log J_N(X); -inf if any fault is estimated undetectable.
   double log_objective(std::span<const double> input_probs) const;
-
-  /// log J_N for every tuple of `batch` (one engine batch call).
-  std::vector<double> log_objectives_batch(
-      std::span<const InputProbs> batch) const;
 
   /// log J_N for the base tuple and for every candidate value of one
   /// coordinate — the hill climber's per-coordinate neighborhood, routed
   /// through the session's incremental path: the base is analyzed exactly
   /// once (usually a cache hit within a sweep) and each candidate is a
-  /// frozen-selection screening perturb that re-evaluates only coordinate
-  /// `coord`'s fanout cone.  With > 1 configured thread the candidates —
-  /// including their observability and detection-probability stages — fan
-  /// out across per-worker engine clones (session perturb_screen_sweep).
-  /// Candidate values are bit-for-bit what the engine-level batch anchored
-  /// at `base` produces (the PR 1 hill-climb semantics) at a fraction of
-  /// the cost, for any thread count; `base` itself is exact.
+  /// screening perturb that re-evaluates only coordinate `coord`'s fanout
+  /// cone under the conditioning sets selected at `base`.  With > 1
+  /// configured thread the candidates — including their observability and
+  /// detection-probability stages — fan out across the session's executor
+  /// (perturb_screen_sweep).  Candidate values are bit-for-bit a full
+  /// evaluation of each candidate tuple under the base's sets, for any
+  /// thread count; `base` itself is exact.
   struct NeighborhoodObjectives {
     double base = 0.0;
     std::vector<double> candidates;  ///< one per entry of `values`

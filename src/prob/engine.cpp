@@ -24,7 +24,7 @@ SignalProbEngine::SignalProbEngine(const Netlist& net, std::string name)
                                 "Netlist::finalize() first)");
 }
 
-std::vector<double> SignalProbEngine::signal_probs(
+Evaluation SignalProbEngine::evaluate(
     std::span<const double> input_probs) const {
   // Entry checkpoint: a job cancelled before (or between) evaluations
   // never starts another one, whatever the engine type.  The long-running
@@ -35,67 +35,60 @@ std::vector<double> SignalProbEngine::signal_probs(
   return compute(input_probs);
 }
 
-std::vector<std::vector<double>> SignalProbEngine::signal_probs_batch(
-    std::span<const InputProbs> batch) const {
-  for (const InputProbs& t : batch) validate_input_probs(net_, t);
-  return compute_batch(batch);
+std::vector<double> SignalProbEngine::signal_probs(
+    std::span<const double> input_probs) const {
+  return evaluate(input_probs).probs;
 }
 
-std::vector<std::vector<double>> SignalProbEngine::compute_batch(
-    std::span<const InputProbs> batch) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(batch.size());
-  for (const InputProbs& t : batch) {
-    check_cancelled();  // between tuples: batches stop at a tuple boundary
-    out.push_back(compute(t));
-  }
-  return out;
-}
-
-std::vector<double> SignalProbEngine::signal_probs_perturb(
-    std::span<const double> base_inputs,
-    std::span<const double> base_node_probs, std::size_t input_index,
-    double new_p, PerturbMode mode) const {
+Evaluation SignalProbEngine::perturb(std::span<const double> base_inputs,
+                                     const Evaluation& base,
+                                     std::size_t input_index,
+                                     double new_p) const {
   check_cancelled();
-  validate_perturb_args(net_, base_inputs, base_node_probs, input_index,
-                        new_p);
-  return compute_perturb(base_inputs, base_node_probs, input_index, new_p,
-                         mode);
+  validate_perturb_args(net_, base_inputs, base.probs, input_index, new_p);
+  return compute_perturb(base_inputs, base, input_index, new_p);
 }
 
-std::vector<double> SignalProbEngine::compute_perturb(
-    std::span<const double> base_inputs,
-    std::span<const double> /*base_node_probs*/, std::size_t input_index,
-    double new_p, PerturbMode /*mode*/) const {
+std::vector<double> SignalProbEngine::screen(
+    std::span<const double> base_inputs, const Evaluation& base,
+    std::size_t input_index, double new_p) const {
+  check_cancelled();
+  validate_perturb_args(net_, base_inputs, base.probs, input_index, new_p);
+  return compute_screen(base_inputs, base, input_index, new_p);
+}
+
+Evaluation SignalProbEngine::compute_perturb(
+    std::span<const double> base_inputs, const Evaluation& /*base*/,
+    std::size_t input_index, double new_p) const {
   InputProbs perturbed(base_inputs.begin(), base_inputs.end());
   perturbed[input_index] = new_p;
   return compute(perturbed);
 }
 
+std::vector<double> SignalProbEngine::compute_screen(
+    std::span<const double> base_inputs, const Evaluation& base,
+    std::size_t input_index, double new_p) const {
+  return compute_perturb(base_inputs, base, input_index, new_p).probs;
+}
 
 // --- naive ------------------------------------------------------------------
 
 NaiveEngine::NaiveEngine(const Netlist& net)
     : SignalProbEngine(net, "naive"), fanout_cones_(net) {}
 
-std::unique_ptr<SignalProbEngine> NaiveEngine::clone() const {
-  return std::make_unique<NaiveEngine>(netlist());
+Evaluation NaiveEngine::compute(std::span<const double> input_probs) const {
+  return {naive_signal_probs(netlist(), input_probs), nullptr};
 }
 
-std::vector<double> NaiveEngine::compute(
-    std::span<const double> input_probs) const {
-  return naive_signal_probs(netlist(), input_probs);
-}
-
-std::vector<double> NaiveEngine::compute_perturb(
-    std::span<const double> /*base_inputs*/,
-    std::span<const double> base_node_probs, std::size_t input_index,
-    double new_p, PerturbMode /*mode: no selection state, always exact*/) const {
+Evaluation NaiveEngine::compute_perturb(std::span<const double> /*base_inputs*/,
+                                        const Evaluation& base,
+                                        std::size_t input_index,
+                                        double new_p) const {
   // Independence propagation is a pure forward sweep, so only the changed
   // input's transitive fanout can move; every other node keeps its base
   // value bit for bit.
   const Netlist& net = netlist();
-  std::vector<double> p(base_node_probs.begin(), base_node_probs.end());
+  std::vector<double> p = base.probs;
   const NodeId root = net.inputs()[input_index];
   p[root] = new_p;
   std::vector<double> ins;
@@ -106,7 +99,7 @@ std::vector<double> NaiveEngine::compute_perturb(
     for (NodeId f : g.fanin) ins.push_back(p[f]);
     p[n] = eval_gate_prob(g.type, ins);
   }
-  return p;
+  return {std::move(p), nullptr};
 }
 
 // --- exact (BDD) ------------------------------------------------------------
@@ -114,13 +107,8 @@ std::vector<double> NaiveEngine::compute_perturb(
 ExactBddEngine::ExactBddEngine(const Netlist& net, std::size_t node_limit)
     : SignalProbEngine(net, "exact-bdd"), node_limit_(node_limit) {}
 
-std::unique_ptr<SignalProbEngine> ExactBddEngine::clone() const {
-  return std::make_unique<ExactBddEngine>(netlist(), node_limit_);
-}
-
-std::vector<double> ExactBddEngine::compute(
-    std::span<const double> input_probs) const {
-  return exact_signal_probs_bdd(netlist(), input_probs, node_limit_);
+Evaluation ExactBddEngine::compute(std::span<const double> input_probs) const {
+  return {exact_signal_probs_bdd(netlist(), input_probs, node_limit_), nullptr};
 }
 
 // --- exact (enumeration) ----------------------------------------------------
@@ -128,13 +116,8 @@ std::vector<double> ExactBddEngine::compute(
 ExactEnumEngine::ExactEnumEngine(const Netlist& net)
     : SignalProbEngine(net, "exact-enum") {}
 
-std::unique_ptr<SignalProbEngine> ExactEnumEngine::clone() const {
-  return std::make_unique<ExactEnumEngine>(netlist());
-}
-
-std::vector<double> ExactEnumEngine::compute(
-    std::span<const double> input_probs) const {
-  return exact_signal_probs_enum(netlist(), input_probs);
+Evaluation ExactEnumEngine::compute(std::span<const double> input_probs) const {
+  return {exact_signal_probs_enum(netlist(), input_probs), nullptr};
 }
 
 // --- Monte-Carlo ------------------------------------------------------------
@@ -142,7 +125,7 @@ std::vector<double> ExactEnumEngine::compute(
 /// Per-worker Monte-Carlo scratch, keyed by the pool's stable worker
 /// index: the word simulator's netlist-sized value store (its input word
 /// slots double as the pattern buffer) and the shard one-counts live
-/// across shards AND across batch tuples, so the hot loop never
+/// across shards AND across evaluations, so the hot loop never
 /// allocates.
 struct MonteCarloEngine::Worker {
   Worker(const Netlist& net, std::size_t words)
@@ -164,15 +147,11 @@ MonteCarloEngine::MonteCarloEngine(const Netlist& net,
 
 MonteCarloEngine::~MonteCarloEngine() = default;
 
-std::unique_ptr<SignalProbEngine> MonteCarloEngine::clone() const {
-  return std::make_unique<MonteCarloEngine>(netlist(), params_);
-}
-
 bool MonteCarloEngine::internally_parallel() const {
   return params_.parallel.resolved() > 1;
 }
 
-std::vector<double> MonteCarloEngine::run_tuple(
+Evaluation MonteCarloEngine::compute(
     std::span<const double> input_probs) const {
   const Netlist& net = netlist();
   const std::size_t num_patterns = params_.num_patterns;
@@ -180,6 +159,7 @@ std::vector<double> MonteCarloEngine::run_tuple(
   const std::vector<std::uint64_t> thresholds =
       monte_carlo_thresholds(input_probs);
 
+  const std::lock_guard<std::mutex> lock(run_mu_);
   if (!exec_) exec_ = make_executor(params_.parallel);
   workers_.resize(exec_->num_workers());
   for (const std::unique_ptr<Worker>& w : workers_)
@@ -203,22 +183,7 @@ std::vector<double> MonteCarloEngine::run_tuple(
   std::vector<double> p(net.size());
   for (NodeId n = 0; n < net.size(); ++n)
     p[n] = static_cast<double>(ones[n]) / static_cast<double>(num_patterns);
-  return p;
-}
-
-std::vector<double> MonteCarloEngine::compute(
-    std::span<const double> input_probs) const {
-  return run_tuple(input_probs);
-}
-
-std::vector<std::vector<double>> MonteCarloEngine::compute_batch(
-    std::span<const InputProbs> batch) const {
-  // run_tuple keeps the pool and the per-worker simulators alive across
-  // tuples; only the thresholds and one-counts are per-tuple.
-  std::vector<std::vector<double>> out;
-  out.reserve(batch.size());
-  for (const InputProbs& t : batch) out.push_back(run_tuple(t));
-  return out;
+  return {std::move(p), nullptr};
 }
 
 // --- PROTEST ----------------------------------------------------------------
@@ -226,26 +191,21 @@ std::vector<std::vector<double>> MonteCarloEngine::compute_batch(
 ProtestEngine::ProtestEngine(const Netlist& net, ProtestParams params)
     : SignalProbEngine(net, "protest"), estimator_(net, params) {}
 
-std::unique_ptr<SignalProbEngine> ProtestEngine::clone() const {
-  return std::make_unique<ProtestEngine>(netlist(), estimator_.params());
+Evaluation ProtestEngine::compute(std::span<const double> input_probs) const {
+  return estimator_.evaluate(input_probs);
 }
 
-std::vector<double> ProtestEngine::compute(
-    std::span<const double> input_probs) const {
-  return estimator_.signal_probs(input_probs);
+Evaluation ProtestEngine::compute_perturb(std::span<const double> base_inputs,
+                                          const Evaluation& base,
+                                          std::size_t input_index,
+                                          double new_p) const {
+  return estimator_.perturb(base_inputs, base, input_index, new_p);
 }
 
-std::vector<std::vector<double>> ProtestEngine::compute_batch(
-    std::span<const InputProbs> batch) const {
-  return estimator_.signal_probs_batch(batch);
-}
-
-std::vector<double> ProtestEngine::compute_perturb(
-    std::span<const double> base_inputs,
-    std::span<const double> base_node_probs, std::size_t input_index,
-    double new_p, PerturbMode mode) const {
-  return estimator_.signal_probs_perturb(base_inputs, base_node_probs,
-                                         input_index, new_p, mode);
+std::vector<double> ProtestEngine::compute_screen(
+    std::span<const double> base_inputs, const Evaluation& base,
+    std::size_t input_index, double new_p) const {
+  return estimator_.screen(base_inputs, base, input_index, new_p);
 }
 
 // --- factory / registry -----------------------------------------------------

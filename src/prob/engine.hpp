@@ -11,40 +11,35 @@
 // validated tuples.  (The wrapped free functions keep their own checks for
 // direct callers; the redundancy is O(inputs) and deliberate.)
 //
-// Batched evaluation: signal_probs_batch() maps a span of input tuples to
-// one probability vector each.  The default implementation loops over
-// compute(); engines override it to share work across tuples — the
-// PROTEST engine reuses its cone topology and joining-point selection, the
-// Monte-Carlo engine reuses one BlockSimulator.  The hill-climb optimizer
-// evaluates hundreds of neighbor tuples per step through this entry point.
+// Every exact evaluation returns an Evaluation: the probabilities plus
+// the tuple-dependent choice behind them (the PROTEST engine's
+// conditioning sets; null for the other engines).  perturb() and screen()
+// take a base Evaluation, so an engine never has to remember which tuple
+// it saw last.
 //
-// Thread safety: an engine instance is NOT safe for concurrent use, even
-// through const methods — the PROTEST engine memoizes its per-netlist plan
-// and selection state across calls, the naive engine caches fanout cones,
-// and the Monte-Carlo engine keeps per-worker simulators.  The supported
-// way to parallelize is one engine per thread, and clone() is the seam:
-// it returns a fresh engine of the same type and parameters sharing no
-// mutable state (construction is cheap; plans build lazily on first
-// evaluation).  ParallelBatchEvaluator (prob/parallel_eval.hpp) packages
-// that pattern — a fixed pool of per-worker clones fanning a tuple batch
-// or a neighborhood sweep across cores.  The Monte-Carlo engine instead
-// parallelizes INTERNALLY (internally_parallel() == true when configured
-// with > 1 thread): it shards its pattern budget across a private pool
-// with bit-identical results for any thread count (see
-// prob/monte_carlo.hpp for the stream-derivation rule) — don't stack a
-// clone layer on top of it.
+// Thread safety: every engine is safe for concurrent const calls.  The
+// PROTEST engine builds its per-netlist plan once under std::call_once
+// and allocates scratch per call, the naive engine's fanout cones fill
+// under a lock, and the exact engines are pure functions.  The
+// Monte-Carlo engine runs one evaluation at a time behind a mutex: it
+// already parallelizes INTERNALLY (internally_parallel() == true when
+// configured with > 1 thread), sharding its pattern budget across a
+// private pool with bit-identical results for any thread count (see
+// prob/monte_carlo.hpp for the stream-derivation rule).  So parallel
+// callers share one engine, and their results are bit-identical to
+// serial calls.
 //
 // Cancellation: every public entry point checkpoints the calling
-// thread's CancelToken (util/cancel.hpp) before evaluating — and between
-// batch tuples — throwing OperationCancelled when an async job has been
-// cancelled; the Monte-Carlo engine additionally checkpoints at every
-// shard boundary.  Under the inert default token the checks cost one
-// branch.
+// thread's CancelToken (util/cancel.hpp) before evaluating, throwing
+// OperationCancelled when an async job has been cancelled; the
+// Monte-Carlo engine additionally checkpoints at every shard boundary.
+// Under the inert default token the checks cost one branch.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,75 +62,66 @@ class SignalProbEngine {
   std::string_view name() const { return name_; }
   const Netlist& netlist() const { return net_; }
 
-  /// Per-node signal probabilities for one input tuple.  Validates the
-  /// tuple (throws std::invalid_argument on arity/range errors) before
+  /// One exact evaluation of an input tuple.  Validates the tuple
+  /// (throws std::invalid_argument on arity/range errors) before
   /// dispatching to the implementation.
+  Evaluation evaluate(std::span<const double> input_probs) const;
+
+  /// Per-node signal probabilities: evaluate(input_probs).probs.
   std::vector<double> signal_probs(std::span<const double> input_probs) const;
 
-  /// Per-node signal probabilities for every tuple of `batch`.  Validates
-  /// all tuples up front; engines may share scratch state (and, for the
-  /// PROTEST engine, the per-gate conditioning-set selection) across the
-  /// batch — see the concrete engine for its exact batch semantics.
-  std::vector<std::vector<double>> signal_probs_batch(
-      std::span<const InputProbs> batch) const;
+  /// Exact incremental re-evaluation for a single-coordinate perturbation:
+  /// given a base evaluation (`base` is what evaluate() or perturb()
+  /// returned for `base_inputs`), evaluates the tuple that differs from
+  /// `base_inputs` only at `input_index`, where it takes `new_p`.  The
+  /// result is bit-for-bit identical to evaluate() on the perturbed tuple
+  /// for every engine, its selection included: incremental engines
+  /// (protest, naive) re-evaluate only the transitive fanout cone of the
+  /// changed input — nodes outside that cone are functions of unchanged
+  /// values — while the rest fall back to a full deterministic
+  /// re-evaluation.
+  Evaluation perturb(std::span<const double> base_inputs,
+                     const Evaluation& base, std::size_t input_index,
+                     double new_p) const;
 
-  /// Incremental re-evaluation for a single-coordinate perturbation: given
-  /// a base evaluation (`base_inputs` and the node probabilities
-  /// signal_probs(base_inputs) returned for it), computes the node
-  /// probabilities of the tuple that differs from `base_inputs` only at
-  /// `input_index`, where it takes `new_p`.
-  ///
-  /// With PerturbMode::Exact (the default) the result is bit-for-bit
-  /// identical to calling signal_probs() on the perturbed tuple for every
-  /// engine: incremental engines (protest, naive) re-evaluate only the
-  /// transitive fanout cone of the changed input — nodes outside that cone
-  /// are functions of unchanged values — while the rest fall back to a
-  /// full deterministic re-evaluation.  PerturbMode::FrozenSelection is
-  /// the neighborhood-screening fidelity: engines with tuple-dependent
-  /// conditioning selections (protest) reuse the sets selected at the base
-  /// tuple, reproducing bit for bit what a signal_probs_batch anchored at
-  /// the base computes for the perturbed tuple, at eval-only cost;
-  /// engines without such state treat it as Exact.
-  std::vector<double> signal_probs_perturb(
-      std::span<const double> base_inputs,
-      std::span<const double> base_node_probs, std::size_t input_index,
-      double new_p, PerturbMode mode = PerturbMode::Exact) const;
+  /// The neighborhood-screening fidelity of perturb(): engines with
+  /// tuple-dependent conditioning sets (protest) evaluate the perturbed
+  /// tuple under the sets in `base.selection`, at eval-only cost; the
+  /// other engines return perturb()'s probabilities.  A screened result
+  /// never seeds another perturb, so only probabilities come back.
+  std::vector<double> screen(std::span<const double> base_inputs,
+                             const Evaluation& base, std::size_t input_index,
+                             double new_p) const;
 
-  /// True when signal_probs_perturb re-evaluates only the fanout cone of
+  /// True when perturb() and screen() re-evaluate only the fanout cone of
   /// the changed input instead of recomputing the whole netlist.
   virtual bool incremental() const { return false; }
 
-  /// Fresh engine of the same type and parameters on the same netlist,
-  /// sharing no mutable state — the seam for per-thread parallelism (each
-  /// worker evaluates through its own clone; see ParallelBatchEvaluator).
-  virtual std::unique_ptr<SignalProbEngine> clone() const = 0;
-
   /// True when the engine fans single evaluations across its own thread
   /// pool (the sharded Monte-Carlo engine with > 1 configured thread).
-  /// Callers that parallelize via per-thread clones should skip such
-  /// engines instead of oversubscribing the machine.
+  /// Callers that parallelize across evaluations should run such engines
+  /// serially instead of oversubscribing the machine.
   virtual bool internally_parallel() const { return false; }
 
  protected:
   /// Throws std::invalid_argument unless `net` is finalized.
   SignalProbEngine(const Netlist& net, std::string name);
 
-  /// One validated tuple -> per-node probabilities.
-  virtual std::vector<double> compute(
-      std::span<const double> input_probs) const = 0;
+  /// One validated tuple -> its evaluation.
+  virtual Evaluation compute(std::span<const double> input_probs) const = 0;
 
-  /// Validated tuples -> per-node probabilities each.  Default: loop over
-  /// compute().
-  virtual std::vector<std::vector<double>> compute_batch(
-      std::span<const InputProbs> batch) const;
-
-  /// Validated perturbation -> per-node probabilities.  Default: build the
+  /// Validated perturbation -> its evaluation.  Default: build the
   /// perturbed tuple and run compute() from scratch (identical by
-  /// determinism, for either mode); incremental engines override.
-  virtual std::vector<double> compute_perturb(
-      std::span<const double> base_inputs,
-      std::span<const double> base_node_probs, std::size_t input_index,
-      double new_p, PerturbMode mode) const;
+  /// determinism); incremental engines override.
+  virtual Evaluation compute_perturb(std::span<const double> base_inputs,
+                                     const Evaluation& base,
+                                     std::size_t input_index,
+                                     double new_p) const;
+
+  /// Validated screen -> probabilities.  Default: compute_perturb()'s.
+  virtual std::vector<double> compute_screen(
+      std::span<const double> base_inputs, const Evaluation& base,
+      std::size_t input_index, double new_p) const;
 
  private:
   const Netlist& net_;
@@ -150,17 +136,15 @@ class NaiveEngine final : public SignalProbEngine {
  public:
   explicit NaiveEngine(const Netlist& net);
   bool incremental() const override { return true; }
-  std::unique_ptr<SignalProbEngine> clone() const override;
 
  protected:
-  std::vector<double> compute(std::span<const double> input_probs) const override;
-  std::vector<double> compute_perturb(
-      std::span<const double> base_inputs,
-      std::span<const double> base_node_probs, std::size_t input_index,
-      double new_p, PerturbMode mode) const override;
+  Evaluation compute(std::span<const double> input_probs) const override;
+  Evaluation compute_perturb(std::span<const double> base_inputs,
+                             const Evaluation& base, std::size_t input_index,
+                             double new_p) const override;
 
  private:
-  mutable InputFanoutCones fanout_cones_;  ///< incremental work lists
+  InputFanoutCones fanout_cones_;  ///< incremental work lists
 };
 
 /// Exact probabilities via ROBDDs.  Exponential worst case; throws
@@ -170,10 +154,9 @@ class ExactBddEngine final : public SignalProbEngine {
   explicit ExactBddEngine(const Netlist& net,
                           std::size_t node_limit = 2'000'000);
   std::size_t node_limit() const { return node_limit_; }
-  std::unique_ptr<SignalProbEngine> clone() const override;
 
  protected:
-  std::vector<double> compute(std::span<const double> input_probs) const override;
+  Evaluation compute(std::span<const double> input_probs) const override;
 
  private:
   std::size_t node_limit_;
@@ -183,10 +166,9 @@ class ExactBddEngine final : public SignalProbEngine {
 class ExactEnumEngine final : public SignalProbEngine {
  public:
   explicit ExactEnumEngine(const Netlist& net);
-  std::unique_ptr<SignalProbEngine> clone() const override;
 
  protected:
-  std::vector<double> compute(std::span<const double> input_probs) const override;
+  Evaluation compute(std::span<const double> input_probs) const override;
 };
 
 struct MonteCarloEngineParams {
@@ -203,57 +185,54 @@ struct MonteCarloEngineParams {
 /// STAFAN-style Monte-Carlo reference: simulate weighted random patterns
 /// and count ones.  Evaluation shards the pattern budget across a private
 /// thread pool — counter-based per-shard RNG streams make the estimate
-/// bit-identical for any thread count — and batch evaluation reuses the
-/// per-worker simulators across all tuples.
+/// bit-identical for any thread count — and the per-worker simulators
+/// persist across evaluations.
 class MonteCarloEngine final : public SignalProbEngine {
  public:
   explicit MonteCarloEngine(const Netlist& net,
                             MonteCarloEngineParams params = {});
   ~MonteCarloEngine() override;
   const MonteCarloEngineParams& params() const { return params_; }
-  std::unique_ptr<SignalProbEngine> clone() const override;
   bool internally_parallel() const override;
 
  protected:
-  std::vector<double> compute(std::span<const double> input_probs) const override;
-  std::vector<std::vector<double>> compute_batch(
-      std::span<const InputProbs> batch) const override;
+  Evaluation compute(std::span<const double> input_probs) const override;
 
  private:
   struct Worker;  ///< per-worker simulator + one-counts + word scratch
-  std::vector<double> run_tuple(std::span<const double> input_probs) const;
 
   MonteCarloEngineParams params_;
-  /// Lazy per-evaluation state; an engine is single-caller by contract, so
-  /// these are scratch, not shared state.  The executor itself may be a
-  /// SHARED one injected through params_.parallel.executor — it serializes
-  /// jobs internally, so clones sharing it stay race-free.
+  /// One evaluation at a time: a run already uses every worker, and the
+  /// pool and per-worker simulators below are its scratch.  The executor
+  /// may be a SHARED one injected through params_.parallel.executor — it
+  /// serializes jobs internally.
+  mutable std::mutex run_mu_;
   mutable std::shared_ptr<Executor> exec_;
   mutable std::vector<std::unique_ptr<Worker>> workers_;
 };
 
-/// The paper's estimator (sect. 2) behind the engine API.  Batch
-/// evaluation reuses the cone topology and the covariance-selected
-/// conditioning sets across tuples (see ProtestEstimator::signal_probs_batch
-/// for the exact semantics).
+/// The paper's estimator (sect. 2) behind the engine API.  Evaluations
+/// carry the conditioning sets they selected; screen() conditions on the
+/// base's (see ProtestEstimator).
 class ProtestEngine final : public SignalProbEngine {
  public:
   explicit ProtestEngine(const Netlist& net, ProtestParams params = {});
 
   const ProtestParams& params() const { return estimator_.params(); }
-  /// Statistics of the most recent evaluation.
-  const ProtestStats& stats() const { return estimator_.stats(); }
+  /// Statistics of the most recent full evaluation.
+  ProtestStats stats() const { return estimator_.stats(); }
+  const ProtestEstimator& estimator() const { return estimator_; }
   bool incremental() const override { return true; }
-  std::unique_ptr<SignalProbEngine> clone() const override;
 
  protected:
-  std::vector<double> compute(std::span<const double> input_probs) const override;
-  std::vector<std::vector<double>> compute_batch(
-      std::span<const InputProbs> batch) const override;
-  std::vector<double> compute_perturb(
-      std::span<const double> base_inputs,
-      std::span<const double> base_node_probs, std::size_t input_index,
-      double new_p, PerturbMode mode) const override;
+  Evaluation compute(std::span<const double> input_probs) const override;
+  Evaluation compute_perturb(std::span<const double> base_inputs,
+                             const Evaluation& base, std::size_t input_index,
+                             double new_p) const override;
+  std::vector<double> compute_screen(std::span<const double> base_inputs,
+                                     const Evaluation& base,
+                                     std::size_t input_index,
+                                     double new_p) const override;
 
  private:
   ProtestEstimator estimator_;

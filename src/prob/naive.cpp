@@ -25,13 +25,13 @@ void validate_perturb_args(const Netlist& net,
   validate_input_probs(net, base_inputs);
   if (base_node_probs.size() != net.size())
     throw std::invalid_argument(
-        "signal_probs_perturb: base node probabilities have wrong size");
+        "perturb: base node probabilities have wrong size");
   if (input_index >= net.inputs().size())
     throw std::invalid_argument(
-        "signal_probs_perturb: input index out of range");
+        "perturb: input index out of range");
   if (!(new_p >= 0.0 && new_p <= 1.0))
     throw std::invalid_argument(
-        "signal_probs_perturb: probability outside [0,1]");
+        "perturb: probability outside [0,1]");
 }
 
 std::vector<double> naive_signal_probs(const Netlist& net,

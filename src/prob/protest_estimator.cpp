@@ -142,178 +142,107 @@ class ConeProp {
 };
 
 /// Per-gate structural data: everything about case 4 of sect. 2 that does
-/// not depend on the input tuple.  Built once per estimator and immutable
-/// afterwards; reused for every tuple, batch, and incremental perturbation.
+/// not depend on the input tuple.
 ///
 /// Retaining every conditioned gate's cone puts peak memory at
 /// O(sum of maxlist-bounded cone sizes) for the estimator's lifetime —
 /// a few MB on the largest shipped circuits.  Nothing else is stored per
 /// cone member: the reach masks a pinned run needs are recomputed into
-/// netlist-sized scratch by each baseline pass.
+/// per-call scratch by each baseline pass.
 struct GatePlan {
   NodeId node = kNoNode;
   std::vector<NodeId> candidates;  ///< trimmed candidate joining points V
   std::vector<NodeId> cone;        ///< bounded TFI union of the fanins
 };
 
-/// The conditioning sets W of every planned gate, all selected at one
-/// input tuple, the anchor.  Plan i's set is w[offset[i], offset[i + 1]):
-/// candidate indices, ascending.
-struct Selection {
-  std::vector<double> anchor;
-  std::vector<std::uint32_t> offset;
-  std::vector<std::uint32_t> w;
-
-  std::span<const std::uint32_t> of(std::size_t plan) const {
-    return std::span<const std::uint32_t>(w).subspan(
-        offset[plan], offset[plan + 1] - offset[plan]);
-  }
-};
-
-/// Where eval_node() takes a gate's conditioning set from.
-enum class Sets {
-  Record,   ///< select it and append it to the selection (full select run)
-  Frozen,   ///< read it from the selection
-  Scratch,  ///< select it for this evaluation only (exact perturb)
-};
-
 }  // namespace
 
-/// One evaluation context: the immutable structural plan, the selection
-/// of the last full select run, and per-gate scratch.  run(select = true)
-/// scores the candidates with the covariance criterion and records W per
-/// gate; run(select = false) reuses the recorded W and only re-propagates
-/// the conditionals of formula (2); run_perturb() re-evaluates only the
-/// fanout cone of one changed input.
-class ProtestEstimator::Evaluator {
- public:
-  Evaluator(const Netlist& net, const ProtestParams& params)
-      : net_(net),
-        cn_(net.compiled()),
-        params_(params),
-        plan_index_(net.size(), -1),
-        fanout_cones_(net),
-        prop_(net),
-        delta_(std::max<std::size_t>(cn_.max_fanin(), 1)) {
-    build_plan();
-  }
-
-  std::vector<double> run(std::span<const double> input_probs, bool select) {
-    std::vector<double> p(net_.size(), 0.0);
-    const auto inputs = net_.inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      p[inputs[i]] = input_probs[i];
-
-    if (select) {
-      stats_.gates_conditioned = 0;
-      stats_.max_w = 0;
-      selection_.anchor.assign(input_probs.begin(), input_probs.end());
-      selection_.offset.assign(1, 0);
-      selection_.w.clear();
-    }
-
-    for (NodeId n = 0; n < net_.size(); ++n) {
-      if (cn_.type(n) == GateType::Input) continue;
-      p[n] = eval_node(n, p, select ? Sets::Record : Sets::Frozen);
-    }
-    return p;
-  }
-
-  /// base must be the vector run()/run_perturb() produced for
-  /// base_inputs.  Only the changed input's transitive fanout is
-  /// re-evaluated: any other gate's bounded fanin cone lies entirely
-  /// outside that fanout (a cone member downstream of the input would put
-  /// the gate downstream too), so its value is a function of unchanged
-  /// numbers and is kept verbatim.
-  ///
-  /// Exact mode re-selects per touched gate, exactly as a fresh full run
-  /// would — the result matches run(perturbed tuple, select=true) bit for
-  /// bit.  Those sets are scratch: the recorded selection still belongs
-  /// to the last full select run.  FrozenSelection evaluates under the
-  /// sets selected at base_inputs (re-anchoring them with one select run
-  /// only when the recorded selection belongs to another tuple) — the
-  /// result matches what a batch anchored at base_inputs computes for the
-  /// perturbed tuple, with eval-only cost confined to the fanout cone.
-  std::vector<double> run_perturb(std::span<const double> base_inputs,
-                                  std::span<const double> base,
-                                  std::size_t input_index, double new_p,
-                                  PerturbMode mode) {
-    const bool exact = mode == PerturbMode::Exact;
-    if (!exact && !std::equal(selection_.anchor.begin(),
-                              selection_.anchor.end(), base_inputs.begin(),
-                              base_inputs.end()))
-      run(base_inputs, /*select=*/true);  // re-anchor the selection
-    std::vector<double> p(base.begin(), base.end());
-    const NodeId root = net_.inputs()[input_index];
-    p[root] = new_p;
-    for (NodeId n : fanout_cones_.of(input_index)) {
-      if (n == root) continue;
-      p[n] = eval_node(n, p, exact ? Sets::Scratch : Sets::Frozen);
-    }
-    return p;
-  }
-
-  const ProtestStats& stats() const { return stats_; }
-
- private:
-  void build_plan() {
-    ConeWorkspace ws(net_);
-    for (NodeId n = 0; n < net_.size(); ++n) {
-      if (cn_.type(n) == GateType::Input || cn_.fanin(n).size() < 2) continue;
+/// The per-netlist plan: built once per estimator, immutable afterwards,
+/// and read by every evaluation, perturb and screen.
+struct ProtestEstimator::Plan {
+  Plan(const Netlist& net, const ProtestParams& params)
+      : index(net.size(), -1) {
+    const CompiledNetlist& cn = net.compiled();
+    ConeWorkspace ws(net);
+    std::size_t max_candidates = 0;
+    for (NodeId n = 0; n < net.size(); ++n) {
+      if (cn.type(n) == GateType::Input || cn.fanin(n).size() < 2) continue;
 
       // Case 4: look for joining points V within MAXLIST levels.  The
       // candidate set also contains intra-cone reconvergence stems
       // (V(a,a)): pinning them makes the in-cone conditionals P(a_i | A_v)
       // of formula (2) sharp (see ConeWorkspace::conditioning_points).
-      ws.compute(cn_.fanin(n), params_.maxlist);
+      ws.compute(cn.fanin(n), params.maxlist);
       std::vector<NodeId> v = ws.conditioning_points(n);
       if (v.empty()) continue;
-      stats_.total_joining_points += v.size();
+      total_joining_points += v.size();
 
       // Keep the candidates closest to the gate (strongest correlations
       // are near the reconvergence) when V is oversized.
-      if (v.size() > params_.max_candidates) {
+      if (v.size() > params.max_candidates) {
         std::sort(v.begin(), v.end(), [&](NodeId a, NodeId b) {
-          return net_.level(a) > net_.level(b);
+          return net.level(a) > net.level(b);
         });
-        v.resize(params_.max_candidates);
+        v.resize(params.max_candidates);
         std::sort(v.begin(), v.end());
       }
-      plan_index_[n] = static_cast<std::int32_t>(plans_.size());
-      plans_.push_back({n, std::move(v), ws.cone()});
+      max_candidates = std::max(max_candidates, v.size());
+      index[n] = static_cast<std::int32_t>(gates.size());
+      gates.push_back({n, std::move(v), ws.cone()});
     }
+    width = std::min<std::size_t>(params.maxvers, max_candidates);
   }
 
-  /// Evaluates one non-input node against the current probabilities,
-  /// taking its conditioning set from `sets`.
-  double eval_node(NodeId n, std::span<const double> p, Sets sets) {
-    const std::int32_t idx = plan_index_[n];
+  std::vector<std::int32_t> index;  ///< node -> gates index or -1
+  std::vector<GatePlan> gates;
+  std::size_t width = 0;  ///< Selection slots per gate: max possible |W|
+  std::size_t total_joining_points = 0;
+};
+
+/// One call's scratch over the immutable plan.  select() scores a gate's
+/// candidates with the covariance criterion and stores the chosen W in a
+/// Selection; condition() reads W from one.  Both then re-propagate the
+/// conditionals of formula (2) and write the gate's probability into p.
+class ProtestEstimator::Kernel {
+ public:
+  explicit Kernel(const ProtestEstimator& est)
+      : cn_(est.net_.compiled()),
+        params_(est.params_),
+        plan_(est.plan()),
+        prop_(est.net_),
+        delta_(std::max<std::size_t>(cn_.max_fanin(), 1)) {}
+
+  void select(NodeId n, std::vector<double>& p, Selection& into) {
+    if (cn_.type(n) == GateType::Input) return;
+    const std::int32_t idx = plan_.index[n];
     // Cases 1-3 of sect. 2: no conditioning possible or necessary.
-    if (idx < 0) return naive_value(n, p);
-    const GatePlan& plan = plans_[static_cast<std::size_t>(idx)];
-    std::span<const std::uint32_t> w;
-    if (sets == Sets::Frozen) {
-      w = selection_.of(static_cast<std::size_t>(idx));
-      if (w.empty()) return naive_value(n, p);
-      prop_.baseline(plan.cone, plan.candidates, p);
-    } else {
-      prop_.baseline(plan.cone, plan.candidates, p);
-      select_w(plan, p);
-      w = w_;
-      if (sets == Sets::Record) {
-        selection_.w.insert(selection_.w.end(), w_.begin(), w_.end());
-        selection_.offset.push_back(
-            static_cast<std::uint32_t>(selection_.w.size()));
-        if (!w.empty()) {
-          ++stats_.gates_conditioned;
-          stats_.max_w = std::max(stats_.max_w, w.size());
-        }
-      }
-      if (w.empty()) return naive_value(n, p);
+    if (idx < 0) {
+      p[n] = naive_value(n, p);
+      return;
     }
-    return conditioned_prob(plan, w);
+    const GatePlan& gate = plan_.gates[static_cast<std::size_t>(idx)];
+    prop_.baseline(gate.cone, gate.candidates, p);
+    select_w(gate, p);
+    into.set(static_cast<std::size_t>(idx), w_);
+    p[n] = w_.empty() ? naive_value(n, p) : conditioned_prob(gate, w_);
   }
 
+  void condition(NodeId n, std::vector<double>& p, const Selection& sel) {
+    if (cn_.type(n) == GateType::Input) return;
+    const std::int32_t idx = plan_.index[n];
+    const std::span<const std::uint32_t> w =
+        idx < 0 ? std::span<const std::uint32_t>()
+                : sel.of(static_cast<std::size_t>(idx));
+    if (w.empty()) {
+      p[n] = naive_value(n, p);
+      return;
+    }
+    const GatePlan& gate = plan_.gates[static_cast<std::size_t>(idx)];
+    prop_.baseline(gate.cone, gate.candidates, p);
+    p[n] = conditioned_prob(gate, w);
+  }
+
+ private:
   double naive_value(NodeId n, std::span<const double> p) {
     return prop_.eval_gate(n, [&](NodeId f) { return p[f]; });
   }
@@ -386,20 +315,9 @@ class ProtestEstimator::Evaluator {
     return std::clamp(acc, 0.0, 1.0);
   }
 
-  // plan: immutable once build_plan() returns
-  const Netlist& net_;
   const CompiledNetlist& cn_;
-  const ProtestParams params_;  ///< by value: survives estimator moves
-  std::vector<std::int32_t> plan_index_;  ///< node -> plans_ index or -1
-  std::vector<GatePlan> plans_;
-  InputFanoutCones fanout_cones_;  ///< incremental work lists
-
-  /// The conditioning sets of the last full select run; exact perturbs
-  /// select into w_ instead and leave it alone.
-  Selection selection_;
-  ProtestStats stats_;
-
-  // per-gate scratch
+  const ProtestParams& params_;
+  const Plan& plan_;
   ConeProp prop_;              ///< also evaluates naive gates
   std::vector<double> delta_;  ///< max_fanin one-point conditional deltas
   std::vector<Pin> pins_;
@@ -407,56 +325,124 @@ class ProtestEstimator::Evaluator {
   std::vector<std::pair<double, std::uint32_t>> scored_;
 };
 
+namespace {
+
+/// A netlist-sized vector holding the tuple at the input nodes.
+std::vector<double> with_inputs(const Netlist& net,
+                                std::span<const double> input_probs) {
+  std::vector<double> p(net.size(), 0.0);
+  const auto inputs = net.inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    p[inputs[i]] = input_probs[i];
+  return p;
+}
+
+/// The base probabilities with input `input_index` moved to new_p.
+std::vector<double> moved(const Netlist& net, std::span<const double> base,
+                          std::size_t input_index, double new_p) {
+  std::vector<double> p(base.begin(), base.end());
+  p[net.inputs()[input_index]] = new_p;
+  return p;
+}
+
+}  // namespace
+
 ProtestEstimator::ProtestEstimator(const Netlist& net, ProtestParams params)
-    : net_(net), params_(params) {
+    : net_(net), params_(params), fanout_cones_(net) {
   if (!net.finalized())
     throw std::logic_error("ProtestEstimator: netlist must be finalized");
 }
 
 ProtestEstimator::~ProtestEstimator() = default;
-ProtestEstimator::ProtestEstimator(ProtestEstimator&&) noexcept = default;
 
-ProtestEstimator::Evaluator& ProtestEstimator::evaluator() const {
-  if (!evaluator_)
-    evaluator_ = std::make_unique<Evaluator>(net_, params_);
-  return *evaluator_;
+const ProtestEstimator::Plan& ProtestEstimator::plan() const {
+  std::call_once(plan_once_,
+                 [&] { plan_ = std::make_unique<const Plan>(net_, params_); });
+  return *plan_;
+}
+
+const Selection& ProtestEstimator::checked(const Selection* selection) const {
+  const Plan& plan = this->plan();
+  if (!selection || selection->gates() != plan.gates.size() ||
+      selection->width() != plan.width)
+    throw std::invalid_argument(
+        "ProtestEstimator: the selection was not made by this estimator");
+  return *selection;
+}
+
+Evaluation ProtestEstimator::evaluate(
+    std::span<const double> input_probs) const {
+  validate_input_probs(net_, input_probs);
+  const Plan& plan = this->plan();
+  auto sel = std::make_shared<Selection>(plan.gates.size(), plan.width);
+  Kernel kernel(*this);
+  std::vector<double> p = with_inputs(net_, input_probs);
+  for (NodeId n = 0; n < net_.size(); ++n) kernel.select(n, p, *sel);
+
+  ProtestStats stats;
+  stats.total_joining_points = plan.total_joining_points;
+  for (std::size_t g = 0; g < sel->gates(); ++g) {
+    const std::size_t w = sel->of(g).size();
+    if (w == 0) continue;
+    ++stats.gates_conditioned;
+    stats.max_w = std::max(stats.max_w, w);
+  }
+  {
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_ = stats;
+  }
+  return {std::move(p), std::move(sel)};
 }
 
 std::vector<double> ProtestEstimator::signal_probs(
     std::span<const double> input_probs) const {
+  return evaluate(input_probs).probs;
+}
+
+std::vector<double> ProtestEstimator::evaluate_under(
+    std::span<const double> input_probs, const Selection& selection) const {
   validate_input_probs(net_, input_probs);
-  Evaluator& ev = evaluator();
-  std::vector<double> p = ev.run(input_probs, /*select=*/true);
-  stats_ = ev.stats();
+  const Selection& sel = checked(&selection);
+  Kernel kernel(*this);
+  std::vector<double> p = with_inputs(net_, input_probs);
+  for (NodeId n = 0; n < net_.size(); ++n) kernel.condition(n, p, sel);
   return p;
 }
 
-std::vector<double> ProtestEstimator::signal_probs_perturb(
-    std::span<const double> base_inputs,
-    std::span<const double> base_node_probs, std::size_t input_index,
-    double new_p, PerturbMode mode) const {
-  // Shared contract with the engine wrapper; the repeat when called
-  // through ProtestEngine is O(inputs) and deliberate (direct estimator
-  // callers get the same checks).
-  validate_perturb_args(net_, base_inputs, base_node_probs, input_index,
-                        new_p);
-  return evaluator().run_perturb(base_inputs, base_node_probs, input_index,
-                                 new_p, mode);
+// perturb() and screen() re-evaluate only the changed input's transitive
+// fanout: any other gate's bounded fanin cone lies entirely outside that
+// fanout (a cone member downstream of the input would put the gate
+// downstream too), so its value, and its selected W, are functions of
+// unchanged numbers and are kept verbatim.  The validation repeats the
+// engine wrapper's; it is O(inputs) and gives direct callers the same
+// checks.
+
+Evaluation ProtestEstimator::perturb(std::span<const double> base_inputs,
+                                     const Evaluation& base,
+                                     std::size_t input_index,
+                                     double new_p) const {
+  validate_perturb_args(net_, base_inputs, base.probs, input_index, new_p);
+  auto sel = std::make_shared<Selection>(checked(base.selection.get()));
+  Kernel kernel(*this);
+  std::vector<double> p = moved(net_, base.probs, input_index, new_p);
+  for (NodeId n : fanout_cones_.of(input_index)) kernel.select(n, p, *sel);
+  return {std::move(p), std::move(sel)};
 }
 
-std::vector<std::vector<double>> ProtestEstimator::signal_probs_batch(
-    std::span<const InputProbs> batch) const {
-  for (const InputProbs& t : batch) validate_input_probs(net_, t);
-  std::vector<std::vector<double>> out;
-  out.reserve(batch.size());
-  if (batch.empty()) return out;
+std::vector<double> ProtestEstimator::screen(
+    std::span<const double> base_inputs, const Evaluation& base,
+    std::size_t input_index, double new_p) const {
+  validate_perturb_args(net_, base_inputs, base.probs, input_index, new_p);
+  const Selection& sel = checked(base.selection.get());
+  Kernel kernel(*this);
+  std::vector<double> p = moved(net_, base.probs, input_index, new_p);
+  for (NodeId n : fanout_cones_.of(input_index)) kernel.condition(n, p, sel);
+  return p;
+}
 
-  Evaluator& ev = evaluator();
-  out.push_back(ev.run(batch[0], /*select=*/true));
-  for (std::size_t t = 1; t < batch.size(); ++t)
-    out.push_back(ev.run(batch[t], /*select=*/false));
-  stats_ = ev.stats();
-  return out;
+ProtestStats ProtestEstimator::stats() const {
+  const std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_;
 }
 
 }  // namespace protest

@@ -20,15 +20,21 @@
 // Parameters (paper sect. 2): MAXVERS bounds |W|, MAXLIST bounds the path
 // length searched for joining points.
 //
-// Thread safety: an estimator is NOT safe for concurrent use, even
-// through const methods — the per-gate plan, the selection state the
-// incremental paths rely on, and the evaluation scratch are memoized
-// across calls.  Use one estimator per thread.
+// Thread safety: an estimator keeps no state between calls.  The
+// per-netlist plan is built once, on first use, and is immutable after;
+// evaluation scratch is allocated per call; the conditioning sets a
+// tuple selects travel with its result (Evaluation::selection).  So one
+// estimator may serve any number of concurrent callers.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 
+#include "netlist/cone.hpp"
 #include "prob/signal_prob.hpp"
 
 namespace protest {
@@ -50,73 +56,100 @@ struct ProtestStats {
   std::size_t max_w = 0;               ///< largest |W| actually used
 };
 
+/// The conditioning sets W one evaluation chose, one per planned gate:
+/// candidate indices, ascending.  A gate holds at most width() of them.
+class Selection {
+ public:
+  Selection(std::size_t gates, std::size_t width)
+      : width_(width), size_(gates, 0), slots_(gates * width, 0) {}
+
+  std::size_t gates() const { return size_.size(); }
+  std::size_t width() const { return width_; }
+  std::span<const std::uint32_t> of(std::size_t gate) const {
+    return std::span<const std::uint32_t>(slots_).subspan(gate * width_,
+                                                          size_[gate]);
+  }
+  /// Replaces gate's set; w.size() <= width().
+  void set(std::size_t gate, std::span<const std::uint32_t> w) {
+    const auto slot =
+        slots_.begin() + static_cast<std::ptrdiff_t>(gate * width_);
+    std::fill(std::copy(w.begin(), w.end(), slot),
+              slot + static_cast<std::ptrdiff_t>(width_), 0u);
+    size_[gate] = static_cast<std::uint32_t>(w.size());
+  }
+
+  bool operator==(const Selection&) const = default;
+
+ private:
+  std::size_t width_;
+  std::vector<std::uint32_t> size_;
+  std::vector<std::uint32_t> slots_;  ///< unused slots stay 0
+};
+
 class ProtestEstimator {
  public:
   explicit ProtestEstimator(const Netlist& net, ProtestParams params = {});
   ~ProtestEstimator();
-  ProtestEstimator(ProtestEstimator&&) noexcept;
 
-  /// Estimates the signal probability of every node.
+  /// Estimates the signal probability of every node and returns the
+  /// conditioning sets it selected for this tuple.
   ///
   /// The per-gate structural plan (bounded cones, candidate joining
-  /// points) is built lazily on the first evaluation and cached for the
-  /// estimator's lifetime: repeated calls — and the incremental path —
-  /// pay only the per-tuple conditioning work.  The conditioning-set
-  /// selection itself depends on the tuple and is redone per call.
+  /// points) is built on the first evaluation and shared by every later
+  /// call: repeated calls, and the incremental paths, pay only the
+  /// per-tuple conditioning work.
+  Evaluation evaluate(std::span<const double> input_probs) const;
+
+  /// evaluate(input_probs).probs.
   std::vector<double> signal_probs(std::span<const double> input_probs) const;
 
-  /// Incremental re-estimation for a single-coordinate perturbation:
-  /// `base_node_probs` must be the vector this estimator returned for
-  /// `base_inputs` (any entry point); the result is the estimate for the
-  /// tuple with input `input_index` changed to `new_p`, and only gates in
-  /// the changed input's transitive fanout cone are re-evaluated.
-  ///
-  /// PerturbMode::Exact re-selects each touched gate's conditioning set —
-  /// the result equals signal_probs() on the perturbed tuple bit for bit.
-  /// Those sets are scratch: the estimator keeps the selection of its
-  /// last full evaluation (signal_probs(), or a batch's element 0).
-  /// PerturbMode::FrozenSelection evaluates under the sets selected at the
-  /// base tuple: the result is bit-for-bit what
-  /// signal_probs_batch({base, perturbed}) returns for the perturbed
-  /// element, at a fraction of the cost — the neighborhood-screening
-  /// fidelity.  It reuses the kept selection when the last full
-  /// evaluation was at `base_inputs` (exact perturbs in between do not
-  /// matter), and otherwise re-selects netlist-wide first.  stats() is
-  /// not updated by this path.
-  std::vector<double> signal_probs_perturb(
-      std::span<const double> base_inputs,
-      std::span<const double> base_node_probs, std::size_t input_index,
-      double new_p, PerturbMode mode = PerturbMode::Exact) const;
+  /// Exact incremental re-estimation for a single-coordinate
+  /// perturbation: `base` must be what this estimator returned for
+  /// `base_inputs` (evaluate() or perturb()).  Only gates in the changed
+  /// input's transitive fanout cone are re-evaluated, and each re-selects
+  /// its conditioning set.  The result equals evaluate() on the perturbed
+  /// tuple bit for bit, Selection included: the base's sets with those of
+  /// the re-evaluated gates replaced.
+  Evaluation perturb(std::span<const double> base_inputs,
+                     const Evaluation& base, std::size_t input_index,
+                     double new_p) const;
 
-  /// Batched estimation: one probability vector per input tuple.
-  ///
-  /// The expensive per-gate structure work — bounded-cone discovery,
-  /// candidate joining points, and the covariance-scored selection of the
-  /// conditioning set W — is performed once, on the first tuple, and reused
-  /// for every subsequent tuple; only the conditional re-propagation of
-  /// formula (2) runs per tuple.  Element 0 therefore equals
-  /// signal_probs(batch[0]) exactly, while later elements condition on the
-  /// W chosen at batch[0].  This is the intended semantics for
-  /// neighbor-tuple workloads (the hill climber evaluates hundreds of
-  /// perturbations of one operating point per sweep); for unrelated tuples
-  /// call signal_probs() per tuple instead.
-  std::vector<std::vector<double>> signal_probs_batch(
-      std::span<const InputProbs> batch) const;
+  /// Screening re-estimation for neighborhood sweeps: like perturb(), but
+  /// every gate conditions on the sets in `base.selection` — bit for bit
+  /// evaluate_under(perturbed tuple, *base.selection), at eval-only cost
+  /// over the changed input's fanout cone.
+  std::vector<double> screen(std::span<const double> base_inputs,
+                             const Evaluation& base, std::size_t input_index,
+                             double new_p) const;
 
-  /// Statistics of the most recent signal_probs() run.
-  const ProtestStats& stats() const { return stats_; }
+  /// Full evaluation of `input_probs` conditioning every gate on the sets
+  /// in `selection` instead of selecting its own: the reference that
+  /// screen() reproduces incrementally.
+  std::vector<double> evaluate_under(std::span<const double> input_probs,
+                                     const Selection& selection) const;
+
+  /// Statistics of the most recent evaluate() (by value: other threads may
+  /// be evaluating).
+  ProtestStats stats() const;
 
   const ProtestParams& params() const { return params_; }
   const Netlist& netlist() const { return net_; }
 
  private:
-  class Evaluator;
-  Evaluator& evaluator() const;  ///< builds the plan on first use
+  struct Plan;
+  class Kernel;
+  const Plan& plan() const;  ///< built on first use, exactly once
+  /// *selection, after checking it is shaped for this plan (throws
+  /// std::invalid_argument when null or made by another estimator).
+  const Selection& checked(const Selection* selection) const;
 
   const Netlist& net_;
   ProtestParams params_;
+  mutable std::once_flag plan_once_;
+  mutable std::unique_ptr<const Plan> plan_;
+  InputFanoutCones fanout_cones_;  ///< incremental work lists
+  mutable std::mutex stats_mu_;
   mutable ProtestStats stats_;
-  mutable std::unique_ptr<Evaluator> evaluator_;  ///< cached per-netlist plan
 };
 
 }  // namespace protest

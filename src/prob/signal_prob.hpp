@@ -3,6 +3,7 @@
 // probabilities p_k = P(node k evaluates to 1) — the quantity of sect. 2.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -13,16 +14,16 @@ namespace protest {
 /// One probability per primary input, in netlist input order.
 using InputProbs = std::vector<double>;
 
-/// Fidelity of an incremental single-coordinate re-evaluation.
-enum class PerturbMode {
-  /// Indistinguishable from a from-scratch evaluation of the perturbed
-  /// tuple (engines with tuple-dependent internal selections redo them).
-  Exact,
-  /// Engines with per-gate conditioning selections reuse the ones chosen
-  /// at the base tuple — the same approximation (and bit-for-bit the same
-  /// numbers) as batched evaluation anchored at the base, at a fraction of
-  /// the cost.  Engines without such state treat this as Exact.
-  FrozenSelection,
+class Selection;  // prob/protest_estimator.hpp
+
+/// One exact evaluation: per-node probabilities plus the tuple-dependent
+/// choice behind them.  `selection` holds the PROTEST engine's
+/// conditioning sets and is null for engines that choose nothing per tuple
+/// (naive, BDD, enumeration, Monte-Carlo).  A perturb or screen of this
+/// tuple takes the whole Evaluation as its base.
+struct Evaluation {
+  std::vector<double> probs;
+  std::shared_ptr<const Selection> selection;
 };
 
 /// The conventional tuple: every input stimulated with P(1) = p (paper

@@ -339,6 +339,11 @@ Args parse_args(const std::vector<std::string>& argv) {
   if ((a.heartbeat_set || a.max_restarts_set) && !a.workers_set)
     throw UsageError("--heartbeat-ms/--max-restarts need --workers "
                      "(supervised serve)");
+  // The TCP loop has no in-process injector (one shared by its connection
+  // threads would race), so the spec would be accepted and never fire.
+  if (a.fault_set && a.port_set && !a.workers_set)
+    throw UsageError("--fault-inject with --port needs --workers (supervised "
+                     "serve); in-process injection serves stdin/stdout only");
   if (a.deadline_set && a.command != "analyze" && a.command != "optimize" &&
       a.command != "scan")
     throw UsageError("--deadline-ms is only valid for "
@@ -800,7 +805,7 @@ void print_help(std::ostream& out) {
          "the budget the work stops at its next checkpoint, exit 3.\n"
          "--fault-inject SPEC arms deterministic fault injection\n"
          "([w<K>:]crash|stall|garbage@<verb>[:<nth>], comma-separated) in\n"
-         "the workers (or in-process without --workers) for testing.\n"
+         "the workers (or in-process in stdin/stdout mode) for testing.\n"
          "fuzz runs the differential validation harness: seeded random\n"
          "circuits (plus every .bench under --data, default $PROTEST_DATA)\n"
          "through every engine, both perturb fidelities, serial vs threaded\n"

@@ -53,14 +53,11 @@ std::uint64_t Protest::test_length(const ProtestReport& report, double d,
 
 HillClimbResult Protest::optimize(std::uint64_t n_parameter,
                                   HillClimbOptions opts) const {
-  // The evaluator's session serializes on its own mutex, so it must not
-  // share the facade session's engine instance — a clone (same type and
-  // parameters, no shared mutable state) keeps concurrent analyze() /
-  // optimize() callers race-free.
-  const ObjectiveEvaluator eval(
-      std::shared_ptr<const SignalProbEngine>(session_->engine().clone()),
-      session_->faults(), n_parameter, options().observability,
-      options().parallel);
+  // The evaluator shares the facade session's engine (engines are safe
+  // for concurrent calls), so its plan is built once for both.
+  const ObjectiveEvaluator eval(session_->engine_ptr(), session_->faults(),
+                                n_parameter, options().observability,
+                                options().parallel);
   return optimize_input_probs(eval, opts);
 }
 

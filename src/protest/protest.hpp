@@ -79,9 +79,9 @@ class Protest {
   /// one input tuple.  Repeated tuples hit the session cache.
   ProtestReport analyze(std::span<const double> input_probs) const;
 
-  /// Batched analysis: one report per tuple.  Every report has exact
-  /// single-tuple semantics (the session's cached plan already amortizes
-  /// the per-tuple setup the engine-level batch used to share).
+  /// Batched analysis: one report per tuple, each with exact single-tuple
+  /// semantics (the engine's plan, built once, amortizes the per-netlist
+  /// setup).
   std::vector<ProtestReport> analyze_batch(
       std::span<const InputProbs> input_tuples) const;
 

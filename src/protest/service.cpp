@@ -753,12 +753,11 @@ std::string ProtestService::dispatch(const ServiceRequest& req) {
       const std::shared_ptr<AnalysisSession> session =
           registry_.open(req.netlist);
       const std::uint64_t n_param = req.n_parameter.value_or(10'000);
-      // A clone keeps the resident session's engine free for concurrent
-      // analyze callers (same reasoning as Protest::optimize).
-      const ObjectiveEvaluator eval(
-          std::shared_ptr<const SignalProbEngine>(session->engine().clone()),
-          session->faults(), n_param, session->options().observability,
-          session->options().parallel);
+      // The climb shares the resident session's engine and its plan;
+      // concurrent analyze callers on the same netlist stay race-free.
+      const ObjectiveEvaluator eval(session->engine_ptr(), session->faults(),
+                                    n_param, session->options().observability,
+                                    session->options().parallel);
       HillClimbOptions opts;
       if (req.sweeps) opts.max_sweeps = *req.sweeps;
       const HillClimbResult res = optimize_input_probs(eval, opts);
@@ -928,7 +927,7 @@ ServiceResponse ProtestService::handle(const ServiceRequest& request) {
   // A deadline_ms budget becomes a deadline token linked to the ambient
   // token (a job's cancel, a connection's drop), installed for the span
   // of dispatch.  The existing checkpoints — Monte-Carlo shards, hill-
-  // climb coordinates, batch tasks — now observe the deadline for free.
+  // climb coordinates, sweep tasks — now observe the deadline for free.
   std::optional<CancelScope> deadline_scope;
   if (request.deadline_ms) {
     deadline_scope.emplace(CancelToken::with_deadline(

@@ -253,7 +253,7 @@ struct ServiceRequest {
   // perturb
   std::size_t input_index = 0;
   double new_p = 0.5;
-  bool screen = false;  ///< frozen-selection screening fidelity
+  bool screen = false;  ///< screening fidelity: the base's conditioning sets
 
   // optimize
   std::optional<std::uint64_t> n_parameter;  ///< default 10'000

@@ -8,9 +8,10 @@
 
 #include "analysis/json.hpp"
 #include "observe/detect.hpp"
-#include "prob/parallel_eval.hpp"
 #include "sim/pattern.hpp"
 #include "testlen/test_length.hpp"
+#include "util/cancel.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 namespace {
@@ -132,9 +133,11 @@ struct detail::SessionShared {
 struct AnalysisResult::State {
   std::shared_ptr<detail::SessionShared> shared;
   std::vector<double> input_probs;
-  std::vector<double> signal_probs;
-  /// false for perturb_screen() products (frozen-selection numbers);
-  /// screened results never enter the cache and cannot seed perturbs.
+  /// The signal probabilities and the engine's selection behind them
+  /// (null for screens and for engines that select nothing).
+  Evaluation eval;
+  /// false for perturb_screen() products (screening numbers); screened
+  /// results never enter the cache and cannot seed perturbs.
   bool exact_fidelity = true;
   /// Guards the lazy artifacts: results are shared across copies (and the
   /// session cache), so concurrent accessors memoize exactly once.  Never
@@ -168,7 +171,7 @@ AnalysisResult::State& checked(
 /// stay valid after the lock is released.
 const Observability& ensure_observability(AnalysisResult::State& s) {
   if (!s.observability)
-    s.observability = compute_observability(s.shared->net, s.signal_probs,
+    s.observability = compute_observability(s.shared->net, s.eval.probs,
                                             s.shared->opts.observability);
   return *s.observability;
 }
@@ -192,7 +195,7 @@ const std::vector<double>& AnalysisResult::input_probs() const {
 }
 
 const std::vector<double>& AnalysisResult::signal_probs() const {
-  return checked(state_).signal_probs;
+  return checked(state_).eval.probs;
 }
 
 const Observability& AnalysisResult::observability() const {
@@ -207,7 +210,7 @@ const std::vector<double>& AnalysisResult::detection_probs() const {
   if (!s.detection_probs)
     s.detection_probs =
         protest::detection_probs(s.shared->net, s.shared->faults,
-                                 s.signal_probs, ensure_observability(s));
+                                 s.eval.probs, ensure_observability(s));
   return *s.detection_probs;
 }
 
@@ -274,7 +277,7 @@ std::string AnalysisResult::to_json(int indent) const {
     if (net.is_input(n)) continue;
     w.begin_object();
     w.key("node").value(net.name_of(n));
-    w.key("p1").value(s.signal_probs[n]);
+    w.key("p1").value(s.eval.probs[n]);
     if (request_.observability)
       w.key("observability").value(observability().stem[n]);
     w.end_object();
@@ -478,6 +481,7 @@ AnalysisSession::AnalysisSession(
         "AnalysisSession: engine was built on a different netlist");
   cache_ = std::make_unique<ResultCache>(opts.max_cached_results);
   mu_ = std::make_unique<std::mutex>();
+  exec_ = make_executor(opts.parallel);
   shared_ = std::make_shared<detail::SessionShared>(
       net, std::move(opts), std::move(engine), std::move(faults));
 }
@@ -537,41 +541,46 @@ AnalysisResult AnalysisSession::wrap(
   return result;
 }
 
+std::shared_ptr<AnalysisResult::State> AnalysisSession::insert(
+    std::vector<double> key, Evaluation eval) {
+  auto state = std::make_shared<AnalysisResult::State>();
+  state->shared = shared_;
+  state->input_probs = key;
+  state->eval = std::move(eval);
+  cache_->insert(std::move(key), state);
+  return state;
+}
+
 AnalysisResult AnalysisSession::analyze(std::span<const double> input_probs,
                                         AnalysisRequest request) {
   validate_input_probs(shared_->net, input_probs);
   std::shared_ptr<AnalysisResult::State> state;
   {
-    // The engine is single-threaded by contract, so the whole lookup/
-    // evaluate/insert step serializes; artifact materialization (wrap)
-    // happens outside the session lock.
+    // Lookup, evaluate and insert form one step, so a tuple is evaluated
+    // once however many callers ask for it; artifact materialization
+    // (wrap) happens outside the session lock.
     const std::lock_guard<std::mutex> lock(*mu_);
     ++stats_.analyze_calls;
     std::vector<double> key(input_probs.begin(), input_probs.end());
+    const SignalProbEngine& engine = *shared_->engine;
 
     if ((state = cache_->find(key))) {
       ++stats_.cache_hits;
     } else {
-      std::vector<double> probs;
-      if (shared_->engine->incremental()) {
+      Evaluation eval;
+      if (engine.incremental()) {
         // A cached tuple one coordinate away feeds the incremental path,
         // which is bit-for-bit equivalent to the full evaluation below.
         if (auto [base, idx] = cache_->find_near(key); base) {
-          probs = shared_->engine->signal_probs_perturb(
-              base->input_probs, base->signal_probs, idx, key[idx]);
+          eval = engine.perturb(base->input_probs, base->eval, idx, key[idx]);
           ++stats_.incremental_evals;
         }
       }
-      if (probs.empty()) {
-        probs = shared_->engine->signal_probs(key);
+      if (eval.probs.empty()) {
+        eval = engine.evaluate(key);
         ++stats_.full_evals;
       }
-
-      state = std::make_shared<AnalysisResult::State>();
-      state->shared = shared_;
-      state->input_probs = key;
-      state->signal_probs = std::move(probs);
-      cache_->insert(std::move(key), state);
+      state = insert(std::move(key), std::move(eval));
     }
   }
   return wrap(std::move(state), request);
@@ -616,39 +625,31 @@ AnalysisResult AnalysisSession::perturb(const AnalysisResult& base,
     if ((state = cache_->find(key))) {
       ++stats_.cache_hits;
     } else {
-      std::vector<double> probs = shared_->engine->signal_probs_perturb(
-          base.state_->input_probs, base.state_->signal_probs, input_index,
-          new_p);
-      if (shared_->engine->incremental())
+      const SignalProbEngine& engine = *shared_->engine;
+      Evaluation eval = engine.perturb(base.state_->input_probs,
+                                       base.state_->eval, input_index, new_p);
+      if (engine.incremental())
         ++stats_.incremental_evals;
       else
         ++stats_.full_evals;
-
-      state = std::make_shared<AnalysisResult::State>();
-      state->shared = shared_;
-      state->input_probs = key;
-      state->signal_probs = std::move(probs);
-      cache_->insert(std::move(key), state);
+      state = insert(std::move(key), std::move(eval));
     }
   }
   return wrap(std::move(state), base.request_);
 }
 
-AnalysisResult AnalysisSession::screen_one(const SignalProbEngine& engine,
-                                           const AnalysisResult& base,
+AnalysisResult AnalysisSession::screen_one(const AnalysisResult& base,
                                            std::size_t input_index,
                                            double new_p) {
   // No cache lookup and no insertion: the cache holds exact-fidelity
-  // tuples only, and screening must yield frozen-selection numbers
+  // tuples only, and screening must yield screening numbers
   // deterministically (a cached exact value would differ).
-  std::vector<double> probs = engine.signal_probs_perturb(
-      base.state_->input_probs, base.state_->signal_probs, input_index,
-      new_p, PerturbMode::FrozenSelection);
   auto state = std::make_shared<AnalysisResult::State>();
   state->shared = shared_;
   state->input_probs = base.state_->input_probs;
   state->input_probs[input_index] = new_p;
-  state->signal_probs = std::move(probs);
+  state->eval.probs = shared_->engine->screen(
+      base.state_->input_probs, base.state_->eval, input_index, new_p);
   state->exact_fidelity = false;
   return wrap(std::move(state), base.request_);
 }
@@ -657,44 +658,38 @@ AnalysisResult AnalysisSession::perturb_screen(const AnalysisResult& base,
                                                std::size_t input_index,
                                                double new_p) {
   check_perturb_args(base, input_index, new_p);
-  const std::lock_guard<std::mutex> lock(*mu_);
-  ++stats_.screen_evals;
-  return screen_one(*shared_->engine, base, input_index, new_p);
+  {
+    const std::lock_guard<std::mutex> lock(*mu_);
+    ++stats_.screen_evals;
+  }
+  return screen_one(base, input_index, new_p);
 }
 
 std::vector<AnalysisResult> AnalysisSession::perturb_screen_sweep(
     const AnalysisResult& base, std::size_t input_index,
     std::span<const double> values) {
   for (const double v : values) check_perturb_args(base, input_index, v);
-  std::vector<AnalysisResult> out(values.size());
-  if (values.empty()) return out;
-
-  const std::lock_guard<std::mutex> lock(*mu_);
-  stats_.screen_evals += values.size();
-  const SignalProbEngine& engine = *shared_->engine;
-  const bool serial = shared_->opts.parallel.resolved() == 1 ||
-                      engine.internally_parallel() || values.size() == 1;
-  if (serial) {
-    // Exactly the perturb_screen loop (internally-parallel engines
-    // already fan each candidate across every core).
-    for (std::size_t i = 0; i < values.size(); ++i)
-      out[i] = screen_one(engine, base, input_index, values[i]);
-    return out;
+  {
+    const std::lock_guard<std::mutex> lock(*mu_);
+    stats_.screen_evals += values.size();
   }
-
-  // Candidates fan out across per-worker engine clones; each worker also
-  // materializes the requested artifacts (observability, detection
-  // probabilities) inside wrap(), so the whole screening pipeline — not
-  // just the signal probabilities — runs in parallel.  Frozen selections
-  // depend only on the base tuple, which every clone anchors at, so
-  // element i is bit-for-bit the serial perturb_screen result.
-  if (!sweep_eval_)
-    sweep_eval_ = std::make_unique<ParallelBatchEvaluator>(
-        engine, shared_->opts.parallel);
-  sweep_eval_->for_each_task(
-      values.size(), [&](std::size_t i, const SignalProbEngine& worker) {
-        out[i] = screen_one(worker, base, input_index, values[i]);
-      });
+  std::vector<AnalysisResult> out(values.size());
+  auto task = [&](std::size_t i, unsigned /*worker*/) {
+    check_cancelled();  // task boundary: sweeps stop within one candidate
+    out[i] = screen_one(base, input_index, values[i]);
+  };
+  // Every candidate conditions on the base's selection, so element i is
+  // bit-for-bit the serial perturb_screen result on any worker.  Each
+  // worker also materializes the requested artifacts (observability,
+  // detection probabilities) inside wrap(), so the whole screening
+  // pipeline runs in parallel.  Internally-parallel engines already fan
+  // each candidate across every core.
+  if (shared_->opts.parallel.resolved() == 1 ||
+      shared_->engine->internally_parallel() || values.size() < 2) {
+    for (std::size_t i = 0; i < values.size(); ++i) task(i, 0);
+  } else {
+    exec_->parallel_for(values.size(), task);
+  }
   return out;
 }
 

@@ -23,19 +23,21 @@
 // re-evaluates only the changed input's fanout cone.  perturb() exposes
 // that path explicitly and is the backend for the hill climber's
 // per-coordinate neighborhood sweeps.  Incremental results are bit-for-bit
-// identical to from-scratch evaluation (see SignalProbEngine::
-// signal_probs_perturb), so the cache never mixes approximation levels.
+// identical to from-scratch evaluation (see SignalProbEngine::perturb), so
+// the cache never mixes approximation levels.  Each result keeps the
+// engine's Evaluation, conditioning sets included, so a screen of any
+// cached tuple conditions on that tuple's sets without re-selecting.
 //
-// Thread safety: a session is safe for CONCURRENT callers.  analyze(),
-// perturb(), perturb_screen() and the sweep serialize on an internal
-// mutex (the session owns one engine, and engines are single-threaded by
-// contract), and lazy artifact materialization on shared AnalysisResults
-// is guarded per result — two threads asking the same result for
-// detection probabilities compute them once.  Concurrency therefore gives
-// SAFETY, not speed-up, at the query level; throughput comes from inside
-// a query: the Monte-Carlo engine shards its patterns across threads, and
-// perturb_screen_sweep() fans a whole neighborhood across per-worker
-// engine clones (SessionOptions::parallel sizes both).  The netlist must
+// Thread safety: a session is safe for CONCURRENT callers.  Engines are
+// safe for concurrent calls, so the session's mutex guards only its cache
+// and counters: analyze() and perturb() look up, evaluate and insert
+// under it, while screens and sweeps evaluate outside it.  Lazy artifact
+// materialization on shared AnalysisResults is guarded per result — two
+// threads asking the same result for detection probabilities compute
+// them once.  Throughput inside a query comes from the Monte-Carlo
+// engine, which shards its patterns across threads, and from
+// perturb_screen_sweep(), which fans a neighborhood across the session's
+// executor (SessionOptions::parallel sizes both).  The netlist must
 // outlive the session and every result obtained from it.
 #pragma once
 
@@ -56,8 +58,6 @@
 #include "util/thread_pool.hpp"
 
 namespace protest {
-
-class ParallelBatchEvaluator;
 
 namespace detail {
 struct SessionShared;  ///< netlist + engine + faults + options (internal)
@@ -147,10 +147,8 @@ struct SessionStats {
   std::size_t analyze_calls = 0;
   std::size_t cache_hits = 0;         ///< exact-tuple cache hits
   std::size_t incremental_evals = 0;  ///< exact perturb-path evaluations
-  /// Frozen-selection screening evals, each cone-sized.  A screen whose
-  /// base differs from the engine's last full evaluation includes a
-  /// hidden netlist-wide select run (re-anchoring the frozen selections
-  /// to that base); exact perturbs in between do not move the anchor.
+  /// Screening evals, each cone-sized: they condition on the base
+  /// result's own conditioning sets, so none re-selects.
   std::size_t screen_evals = 0;
   std::size_t full_evals = 0;         ///< from-scratch engine evaluations
   /// Tuples currently held by the LRU result cache (snapshot, not
@@ -249,11 +247,9 @@ class AnalysisSession {
   AnalysisResult analyze(std::span<const double> input_probs,
                          AnalysisRequest request = {});
 
-  /// analyze() for every tuple, in order.  Unlike the engine-level
-  /// signal_probs_batch (which may share conditioning selections across
-  /// the batch as an approximation), every element here has exact
-  /// single-tuple semantics — the session's plan cache already amortizes
-  /// the setup cost that batching used to recover.
+  /// analyze() for every tuple, in order: every element has exact
+  /// single-tuple semantics, and the engine's plan, built once, already
+  /// amortizes the per-netlist setup.
   std::vector<AnalysisResult> analyze_batch(std::span<const InputProbs> tuples,
                                             AnalysisRequest request = {});
 
@@ -269,10 +265,10 @@ class AnalysisSession {
                          double new_p);
 
   /// Screening-fidelity perturb for neighborhood sweeps: engines with
-  /// tuple-dependent conditioning selections reuse the base tuple's sets
-  /// (PerturbMode::FrozenSelection) — bit-for-bit the numbers a batched
-  /// evaluation anchored at `base` would produce, at eval-only cost over
-  /// the changed input's fanout cone.  The result is NOT inserted into
+  /// tuple-dependent conditioning sets condition on the ones `base` was
+  /// evaluated with (SignalProbEngine::screen) — bit-for-bit a full
+  /// evaluation of the perturbed tuple under those sets, at eval-only cost
+  /// over the changed input's fanout cone.  The result is NOT inserted into
   /// the session cache (the cache holds exact-fidelity tuples only); use
   /// perturb()/analyze() to confirm a screened candidate exactly.
   AnalysisResult perturb_screen(const AnalysisResult& base,
@@ -280,11 +276,13 @@ class AnalysisSession {
 
   /// perturb_screen() for every value of `values` (same base, same
   /// coordinate) — the hill climber's per-coordinate neighborhood in one
-  /// call.  With > 1 configured worker the candidates fan out across
-  /// per-worker engine clones, and the requested artifacts (observability,
-  /// detection probabilities) are materialized inside the workers, so the
-  /// whole screening pipeline parallelizes.  Element i is bit-for-bit
-  /// perturb_screen(base, input_index, values[i]) for any thread count.
+  /// call.  With > 1 configured worker the candidates fan out across the
+  /// session's executor, all through the one engine, and the requested
+  /// artifacts (observability, detection probabilities) are materialized
+  /// inside the workers, so the whole screening pipeline parallelizes.
+  /// Every task checks for cancellation before it starts.  Element i is
+  /// bit-for-bit perturb_screen(base, input_index, values[i]) for any
+  /// thread count.
   /// Engines that parallelize internally (sharded Monte-Carlo) sweep
   /// serially — each candidate already uses every core.
   std::vector<AnalysisResult> perturb_screen_sweep(
@@ -298,24 +296,27 @@ class AnalysisSession {
 
   AnalysisResult wrap(std::shared_ptr<AnalysisResult::State> state,
                       const AnalysisRequest& request);
-  /// One frozen-selection screen through `engine` (the session's own or a
-  /// sweep worker's clone): evaluate, build the screening-fidelity state,
+  /// One screen: evaluate, build the screening-fidelity state,
   /// materialize the base request's artifacts.  The single body behind
   /// perturb_screen and both perturb_screen_sweep branches.
-  AnalysisResult screen_one(const SignalProbEngine& engine,
-                            const AnalysisResult& base,
+  AnalysisResult screen_one(const AnalysisResult& base,
                             std::size_t input_index, double new_p);
+  /// The cache-miss half of analyze() and perturb(): a result state for
+  /// `key` holding `eval`, inserted into the cache.  Caller holds mu_.
+  std::shared_ptr<AnalysisResult::State> insert(std::vector<double> key,
+                                                Evaluation eval);
   void check_perturb_args(const AnalysisResult& base, std::size_t input_index,
                           double new_p) const;
 
   std::shared_ptr<detail::SessionShared> shared_;
   std::unique_ptr<ResultCache> cache_;
   SessionStats stats_;
-  /// Serializes cache + stats + engine access across concurrent callers
+  /// Serializes cache + stats access across concurrent callers
   /// (unique_ptr so the session stays movable).
   std::unique_ptr<std::mutex> mu_;
-  /// Lazily-built per-worker engine clones for perturb_screen_sweep.
-  std::unique_ptr<ParallelBatchEvaluator> sweep_eval_;
+  /// Runs perturb_screen_sweep's fan-out: the injected shared executor, or
+  /// a private one whose pool starts on the first parallel sweep.
+  std::shared_ptr<Executor> exec_;
 };
 
 }  // namespace protest

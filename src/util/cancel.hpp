@@ -3,8 +3,8 @@
 //
 // A CancelToken is a cheap, copyable handle on a shared cancellation flag.
 // Long-running work (the Monte-Carlo shard loop, the hill-climb sweep,
-// the per-clone batch evaluator) polls the flag at natural CHECKPOINTS —
-// shard boundaries, sweep coordinates, batch tasks — and aborts by
+// the session's neighborhood sweep) polls the flag at natural CHECKPOINTS
+// — shard boundaries, climb coordinates, sweep tasks — and aborts by
 // throwing OperationCancelled, which unwinds through the ordinary
 // exception-propagation paths (ThreadPool rethrows the first task
 // exception on the caller).  Cancellation is therefore cooperative and

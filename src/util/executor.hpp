@@ -6,8 +6,8 @@
 // would spawn N pools and oversubscribe the machine N-fold.  An Executor
 // is the sharing seam: inject one instance through
 // ParallelConfig::executor and every component it reaches (the sharded
-// Monte-Carlo engine, ParallelBatchEvaluator, the session sweeps) runs
-// its jobs on the same workers.  Jobs from concurrent callers SERIALIZE —
+// Monte-Carlo engine, the session sweeps) runs its jobs on the same
+// workers.  Jobs from concurrent callers SERIALIZE —
 // each job still spans the full pool, so the machine stays fully used
 // and never oversubscribed; what changes is that two sessions' parallel
 // phases queue behind each other instead of fighting for cores.

@@ -1,6 +1,6 @@
 // Fixed-size thread pool and parallel_for: the parallel-execution
-// substrate behind the sharded Monte-Carlo engine, the per-thread-clone
-// batch evaluator, and the session's neighborhood sweeps.
+// substrate behind the sharded Monte-Carlo engine and the session's
+// neighborhood sweeps.
 //
 // Design constraints (shared by every user):
 //   * Determinism lives in the WORK DECOMPOSITION, not the schedule.  Tasks
@@ -11,7 +11,7 @@
 //   * Worker index stability: fn(task, worker) receives a worker index in
 //     [0, num_workers()) that is stable for the lifetime of the pool — the
 //     caller participates as worker 0, pool threads are 1..n-1.  Per-worker
-//     scratch (simulators, engine clones) can be keyed by it without locks
+//     scratch (simulators) can be keyed by it without locks
 //     because one worker never runs two tasks concurrently.
 //   * Exceptions propagate: the first exception thrown by any task is
 //     rethrown on the calling thread after every worker has stopped; the

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "analysis/json.hpp"
 #include "bdd/bdd.hpp"
@@ -56,6 +58,14 @@ bool same_vector(std::span<const double> a, std::span<const double> b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     if (a[i] != b[i]) return false;
   return true;
+}
+
+/// Bit-identical probabilities and equal selections (both null, or equal
+/// conditioning sets).
+bool same_evaluation(const Evaluation& a, const Evaluation& b) {
+  if (!same_vector(a.probs, b.probs)) return false;
+  if (!a.selection || !b.selection) return !a.selection && !b.selection;
+  return *a.selection == *b.selection;
 }
 
 /// Runs every differential leg for one spec, appending disagreements
@@ -106,8 +116,8 @@ class CircuitChecker {
 
   // Engine matrix: static-bound containment for every engine, exact
   // engines against each other, Monte-Carlo against exact within the
-  // statistical oracle, and the bit-identity legs (batch-of-one, clone,
-  // serial vs threaded Monte-Carlo).
+  // statistical oracle, and the bit-identity legs (concurrent callers on
+  // one engine, the perturbed selection, serial vs threaded Monte-Carlo).
   void check_engines(const Netlist& net) {
     const std::span<const double> tuple(spec_.input_probs);
     const SignalProbBounds bounds = signal_prob_bounds(net, tuple);
@@ -142,17 +152,8 @@ class CircuitChecker {
         }
       }
 
-      // Determinism: a batch of one tuple and a clone must reproduce the
-      // single evaluation bit for bit.
-      const std::vector<InputProbs> batch = {
-          InputProbs(tuple.begin(), tuple.end())};
-      count(2);
-      if (!same_vector(engine->signal_probs_batch(batch)[0], est))
-        disagree("batch_vs_single:" + name, spec_.name,
-                 "batch-of-one differs from single evaluation");
-      if (!same_vector(engine->clone()->signal_probs(tuple), est))
-        disagree("clone_vs_original:" + name, spec_.name,
-                 "clone() evaluation differs from original");
+      check_concurrent(net, name, engine->evaluate(tuple));
+      if (name == "protest") check_perturb_selection(*engine);
 
       estimates.emplace(name, std::move(est));
     }
@@ -204,8 +205,58 @@ class CircuitChecker {
     }
   }
 
-  // Session fidelities: incremental perturb (Exact) against from-scratch
-  // analyze, and the threaded frozen-selection sweep against per-element
+  // Determinism under sharing: at least two threads evaluate the tuple at
+  // once on one fresh engine (so they also race its first-use plan
+  // build), and each result must equal the serial one bit for bit,
+  // conditioning sets included.
+  void check_concurrent(const Netlist& net, const std::string& name,
+                        const Evaluation& serial) {
+    const auto engine = make_engine(name, net, engine_config(1));
+    const std::size_t n = std::max(spec_.threads, 2u);
+    std::vector<Evaluation> got(n);
+    std::vector<std::string> errors(n);
+    {
+      std::latch start(static_cast<std::ptrdiff_t>(n));
+      std::vector<std::jthread> threads;
+      for (std::size_t t = 0; t < n; ++t)
+        threads.emplace_back([&, t] {
+          start.arrive_and_wait();
+          try {
+            got[t] = engine->evaluate(spec_.input_probs);
+          } catch (const std::exception& e) {
+            errors[t] = e.what();
+          }
+        });
+    }
+    for (std::size_t t = 0; t < n; ++t) {
+      count();
+      if (!errors[t].empty() || !same_evaluation(got[t], serial))
+        disagree("concurrent_vs_serial:" + name, spec_.name,
+                 "thread " + std::to_string(t) + " of " + std::to_string(n) +
+                     (errors[t].empty() ? " differs from the serial evaluation"
+                                        : " threw: " + errors[t]));
+    }
+  }
+
+  // The Selection an exact perturb hands back is the base's with the
+  // changed input's fanout cone re-selected; it must be exactly what a
+  // full evaluation of the perturbed tuple selects.
+  void check_perturb_selection(const SignalProbEngine& engine) {
+    std::vector<double> perturbed = spec_.input_probs;
+    perturbed[spec_.perturb_index] = spec_.perturb_p;
+    const Evaluation moved =
+        engine.perturb(spec_.input_probs, engine.evaluate(spec_.input_probs),
+                       spec_.perturb_index, spec_.perturb_p);
+    count();
+    if (!moved.selection ||
+        !same_evaluation(moved, engine.evaluate(perturbed)))
+      disagree("perturb_selection", spec_.name,
+               "exact perturb's selection or probabilities differ from a "
+               "full evaluation of the perturbed tuple");
+  }
+
+  // Session fidelities: incremental exact perturb against from-scratch
+  // analyze, and the threaded screening sweep against per-element
   // screening — both promised bit-identical.
   void check_sessions(const Netlist& net) {
     SessionOptions so;

@@ -15,9 +15,11 @@
 //                analyzer's proven [lo, hi] interval per net
 //                (lint/prob_bounds); exact-enum == exact-BDD to 1e-9;
 //                Monte-Carlo within its Hoeffding tolerance of exact
-//   determinism  batch-of-one == single; clone() == original; Monte-Carlo
-//                serial == N threads — all bit-identical
-//   sessions     perturb (Exact) == from-scratch analyze, bit-identical;
+//   determinism  N threads on one shared engine == serial, conditioning
+//                sets included; an exact perturb's selection == a full
+//                evaluation's of the perturbed tuple; Monte-Carlo serial
+//                == N threads — all bit-identical
+//   sessions     exact perturb == from-scratch analyze, bit-identical;
 //                perturb_screen_sweep (threaded) == perturb_screen
 //                (serial), bit-identical per element
 //   transport    served analyze payload == AnalysisResult::to_json(0)

@@ -110,6 +110,13 @@ TEST(Cli, SupervisedServeFlagValidation) {
       cli({"serve", "--workers", "2", "--fault-inject", "w1:crash@analyse"})
           .code,
       2);
+  // The TCP loop consults no in-process injector, so a TCP serve takes a
+  // fault spec only with --workers.
+  const CliRun tcp_inject =
+      cli({"serve", "--port", "0", "--fault-inject", "crash@analyze"});
+  EXPECT_EQ(tcp_inject.code, 2);
+  EXPECT_NE(tcp_inject.err.find("--workers"), std::string::npos)
+      << tcp_inject.err;
   std::cin.rdbuf(stdin_buf);
 }
 

@@ -2,7 +2,7 @@
 // input validation, cross-engine parity on fanout-reconvergence-free
 // circuits (where independence propagation is provably exact, so every
 // point-estimate engine must agree with the exact oracles), and the
-// batched evaluation contract.
+// perturb / screen contracts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -136,10 +136,6 @@ TEST(EngineValidation, UniformAcrossEngines) {
     EXPECT_THROW(engine->signal_probs(too_few), std::invalid_argument) << name;
     EXPECT_THROW(engine->signal_probs(out_of_range), std::invalid_argument)
         << name;
-    const std::vector<InputProbs> bad_batch = {
-        uniform_input_probs(net, 0.5), InputProbs{0.5}};
-    EXPECT_THROW(engine->signal_probs_batch(bad_batch), std::invalid_argument)
-        << name;
   }
 }
 
@@ -187,56 +183,10 @@ TEST_P(EngineParity, AgreeOnReconvergenceFreeCircuits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineParity, ::testing::Range(1, 7));
 
-TEST(EngineBatch, MatchesSingleCallsOnEveryEngine) {
-  // Batch contract on a reconvergence-free circuit: every engine's batch
-  // result equals its per-tuple single calls bit for bit (no conditioning
-  // happens, so even the PROTEST frozen-selection semantics coincide).
-  const Netlist net = make_random_tree(11);
-  ASSERT_TRUE(is_fanout_reconvergence_free(net));
-  std::vector<InputProbs> batch;
-  for (std::uint64_t s = 0; s < 4; ++s)
-    batch.push_back(random_tuple(net, 1000 + s));
-
-  EngineConfig cfg;
-  cfg.monte_carlo.num_patterns = 4096;
-  for (const std::string& name : engine_names()) {
-    const auto engine = make_engine(name, net, cfg);
-    const auto got = engine->signal_probs_batch(batch);
-    ASSERT_EQ(got.size(), batch.size()) << name;
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-      const auto want = engine->signal_probs(batch[t]);
-      for (NodeId n = 0; n < net.size(); ++n)
-        EXPECT_EQ(got[t][n], want[n]) << name << " tuple " << t << " node "
-                                      << n;
-    }
-  }
-}
-
-TEST(EngineBatch, ProtestAnchorsSelectionOnFirstTuple) {
-  // On a reconvergent circuit the PROTEST batch reuses the conditioning
-  // sets selected at batch[0]: element 0 must equal the single call
-  // exactly, and the remaining tuples must stay close to their fresh
-  // evaluations (c17 is small enough that the selection coincides and the
-  // estimator stays exact for every uniform tuple).
-  const Netlist net = make_c17();
-  const auto engine = make_engine("protest", net);
-  const std::vector<InputProbs> batch = {uniform_input_probs(net, 0.5),
-                                         uniform_input_probs(net, 0.3),
-                                         uniform_input_probs(net, 0.8)};
-  const auto got = engine->signal_probs_batch(batch);
-  ASSERT_EQ(got.size(), 3u);
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    const auto want = engine->signal_probs(batch[t]);
-    for (NodeId n = 0; n < net.size(); ++n)
-      EXPECT_NEAR(got[t][n], want[n], 1e-9) << "tuple " << t << " node " << n;
-  }
-}
-
 TEST(EngineBatch, FacadeAnalyzeBatchMatchesPerTupleAnalyze) {
-  // The facade's batched analysis goes through the engine's batch entry
-  // point but must produce the same reports as per-tuple analyze():
-  // bit-identical for an engine on the default loop fallback (naive),
-  // within estimator tolerance for the PROTEST frozen-selection batch.
+  // The facade's batched analysis runs session analyze() per tuple, so
+  // every report must equal its per-tuple analyze() bit for bit, for the
+  // PROTEST engine as for any other.
   const Netlist net = make_c17();
   const std::vector<InputProbs> batch = {uniform_input_probs(net, 0.5),
                                          uniform_input_probs(net, 0.3),
@@ -251,39 +201,45 @@ TEST(EngineBatch, FacadeAnalyzeBatchMatchesPerTupleAnalyze) {
       const auto want = tool.analyze(batch[t]);
       EXPECT_EQ(reports[t].engine, name);
       EXPECT_EQ(reports[t].input_probs, batch[t]);
-      ASSERT_EQ(reports[t].signal_probs.size(), want.signal_probs.size());
-      for (NodeId n = 0; n < net.size(); ++n)
-        EXPECT_NEAR(reports[t].signal_probs[n], want.signal_probs[n], 1e-9)
-            << name << " tuple " << t << " node " << n;
-      ASSERT_EQ(reports[t].detection_probs.size(),
-                want.detection_probs.size());
-      for (std::size_t f = 0; f < want.detection_probs.size(); ++f)
-        EXPECT_NEAR(reports[t].detection_probs[f], want.detection_probs[f],
-                    1e-9)
-            << name << " tuple " << t << " fault " << f;
+      EXPECT_EQ(reports[t].signal_probs, want.signal_probs)
+          << name << " tuple " << t;
+      EXPECT_EQ(reports[t].detection_probs, want.detection_probs)
+          << name << " tuple " << t;
     }
   }
 }
 
 TEST(EnginePerturb, ExactModeMatchesSingleCallOnEveryEngine) {
-  // The perturb contract: Exact mode is bit-for-bit the single call on
-  // the perturbed tuple — incremental engines via fanout-cone
-  // re-evaluation, the rest via deterministic full recomputation.  c17
-  // has reconvergent fanout, so the PROTEST conditioning is exercised.
-  const Netlist net = make_c17();
+  // The perturb contract: an exact perturb is bit-for-bit the single call
+  // on the perturbed tuple, conditioning sets included — incremental
+  // engines via fanout-cone re-evaluation, the rest via deterministic full
+  // recomputation.  c17 and alu have reconvergent fanout, so the PROTEST
+  // conditioning is exercised.
   EngineConfig cfg;
   cfg.monte_carlo.num_patterns = 4096;
-  const InputProbs base = uniform_input_probs(net, 0.5);
-  for (const std::string& name : engine_names()) {
-    const auto engine = make_engine(name, net, cfg);
-    const std::vector<double> base_probs = engine->signal_probs(base);
-    for (std::size_t idx : {std::size_t{0}, std::size_t{4}}) {
-      InputProbs perturbed = base;
-      perturbed[idx] = 0.125;
-      const auto got =
-          engine->signal_probs_perturb(base, base_probs, idx, 0.125);
-      const auto want = engine->signal_probs(perturbed);
-      EXPECT_EQ(got, want) << name << " input " << idx;
+  for (const char* circuit : {"c17", "alu"}) {
+    const Netlist net = make_circuit(circuit);
+    const InputProbs base = random_tuple(net, 5);
+    for (const std::string& name : engine_names()) {
+      if (name == "exact-enum" && net.inputs().size() > 24) continue;
+      const auto engine = make_engine(name, net, cfg);
+      const Evaluation base_eval = engine->evaluate(base);
+      for (std::size_t idx : {std::size_t{0}, std::size_t{4}}) {
+        InputProbs perturbed = base;
+        perturbed[idx] = 0.125;
+        const Evaluation got = engine->perturb(base, base_eval, idx, 0.125);
+        const Evaluation want = engine->evaluate(perturbed);
+        EXPECT_EQ(got.probs, want.probs) << circuit << " " << name << " input "
+                                         << idx;
+        ASSERT_EQ(got.selection == nullptr, want.selection == nullptr)
+            << circuit << " " << name;
+        if (want.selection) {
+          EXPECT_EQ(*got.selection, *want.selection)
+              << circuit << " " << name << " input " << idx;
+        }
+      }
+      // Only the PROTEST engine selects anything per tuple.
+      EXPECT_EQ(base_eval.selection != nullptr, name == "protest") << name;
     }
   }
 }
@@ -292,52 +248,49 @@ TEST(EnginePerturb, ValidatesArguments) {
   const Netlist net = make_c17();
   const auto engine = make_engine("protest", net);
   const InputProbs base = uniform_input_probs(net, 0.5);
-  const std::vector<double> probs = engine->signal_probs(base);
-  EXPECT_THROW(engine->signal_probs_perturb(base, probs, 99, 0.5),
+  const Evaluation eval = engine->evaluate(base);
+  EXPECT_THROW(engine->perturb(base, eval, 99, 0.5), std::invalid_argument);
+  EXPECT_THROW(engine->perturb(base, eval, 0, -0.1), std::invalid_argument);
+  EXPECT_THROW(engine->screen(base, eval, 99, 0.5), std::invalid_argument);
+  const Evaluation short_probs{std::vector<double>(3, 0.5), eval.selection};
+  EXPECT_THROW(engine->perturb(base, short_probs, 0, 0.5),
                std::invalid_argument);
-  EXPECT_THROW(engine->signal_probs_perturb(base, probs, 0, -0.1),
-               std::invalid_argument);
-  const std::vector<double> short_probs(3, 0.5);
-  EXPECT_THROW(engine->signal_probs_perturb(base, short_probs, 0, 0.5),
-               std::invalid_argument);
+  // The PROTEST engine needs the base's conditioning sets: without them,
+  // or with another estimator's, there is nothing to condition on.
+  const Evaluation bare{eval.probs, nullptr};
+  EXPECT_THROW(engine->perturb(base, bare, 0, 0.25), std::invalid_argument);
+  EXPECT_THROW(engine->screen(base, bare, 0, 0.25), std::invalid_argument);
+  const Netlist alu = make_circuit("alu");
+  const Evaluation foreign{eval.probs,
+                           make_engine("protest", alu)
+                               ->evaluate(uniform_input_probs(alu, 0.5))
+                               .selection};
+  EXPECT_THROW(engine->screen(base, foreign, 0, 0.25), std::invalid_argument);
 }
 
-TEST(EnginePerturb, FrozenSelectionMatchesBatchElement) {
-  // FrozenSelection reproduces what a batch anchored at the base computes
-  // for the perturbed tuple — when the selection state belongs to a
-  // different tuple and must be re-anchored first, and when exact perturbs
-  // of the base ran between the base evaluation and the screen (they
-  // select into scratch, so the base's selection must survive them).
+TEST(EnginePerturb, ScreenMatchesEvaluationUnderBaseSelection) {
+  // A screen conditions on the sets the base evaluation selected: bit for
+  // bit a full evaluation of the perturbed tuple under those sets — also
+  // when other tuples were evaluated between the base and the screen, and
+  // when exact perturbs of the base ran in between.
   for (const char* circuit : {"c17", "alu"}) {
     const Netlist net = make_circuit(circuit);
-    const auto engine = make_engine("protest", net);
+    const ProtestEngine engine(net);
     const InputProbs base = random_tuple(net, 17);
-    const std::vector<double> base_probs = engine->signal_probs(base);
+    const Evaluation base_eval = engine.evaluate(base);
     InputProbs perturbed = base;
     perturbed[1] = 0.8125;
-    const auto want = engine->signal_probs_batch(
-        std::vector<InputProbs>{base, perturbed})[1];
-    engine->signal_probs(uniform_input_probs(net, 0.3));  // de-anchor
-    EXPECT_EQ(engine->signal_probs_perturb(base, base_probs, 1, 0.8125,
-                                           PerturbMode::FrozenSelection),
-              want)
-        << circuit << ": re-anchored screen";
+    const std::vector<double> want =
+        engine.estimator().evaluate_under(perturbed, *base_eval.selection);
 
-    engine->signal_probs(base);
+    engine.evaluate(uniform_input_probs(net, 0.3));
+    EXPECT_EQ(engine.screen(base, base_eval, 1, 0.8125), want)
+        << circuit << ": screen after another tuple";
+
     for (std::size_t i = 0; i < net.inputs().size(); i += 2)
-      engine->signal_probs_perturb(base, base_probs, i, 0.0625);
-    EXPECT_EQ(engine->signal_probs_perturb(base, base_probs, 1, 0.8125,
-                                           PerturbMode::FrozenSelection),
-              want)
+      engine.perturb(base, base_eval, i, 0.0625);
+    EXPECT_EQ(engine.screen(base, base_eval, 1, 0.8125), want)
         << circuit << ": screen after exact perturbs";
-  }
-}
-
-TEST(EngineBatch, EmptyBatchYieldsEmptyResult) {
-  const Netlist net = make_c17();
-  for (const std::string& name : engine_names()) {
-    const auto engine = make_engine(name, net);
-    EXPECT_TRUE(engine->signal_probs_batch({}).empty()) << name;
   }
 }
 

@@ -1,7 +1,7 @@
 // The async job layer: the cooperative-cancellation substrate
 // (util/cancel.hpp), its checkpoints in the long-running paths (the
-// Monte-Carlo shard loop, the hill-climb sweep, the parallel batch
-// evaluator), the JobManager ticket machine, and the service-level
+// Monte-Carlo shard loop, the hill-climb sweep, the session's parallel
+// neighborhood sweep), the JobManager ticket machine, and the service-level
 // cancellation semantics the ISSUE pins: a cancelled Monte-Carlo job
 // stops within one shard, a cancelled optimize stops within one sweep,
 // and poll() on a cancelled ticket reports `cancelled` — never a partial
@@ -20,7 +20,6 @@
 #include "prob/engine.hpp"
 #include "prob/monte_carlo.hpp"
 #include "prob/naive.hpp"
-#include "prob/parallel_eval.hpp"
 #include "protest/jobs.hpp"
 #include "protest/service.hpp"
 #include "util/cancel.hpp"
@@ -143,15 +142,19 @@ TEST(HillClimbCancel, CancelledOptimizeStopsWithinOneSweep) {
 }
 
 TEST(ParallelEvalCancel, CancelledSweepStopsAtATaskBoundary) {
+  // Every sweep task checkpoints before it starts, on whichever executor
+  // worker claims it.
   const Netlist net = make_c17();
-  ParallelConfig two_workers;
-  two_workers.num_threads = 2;
-  const ParallelBatchEvaluator eval(net, "protest", {}, two_workers);
+  SessionOptions opts;
+  opts.parallel.num_threads = 2;
+  AnalysisSession session(net, opts);
+  const AnalysisResult base = session.analyze(uniform_input_probs(net, 0.5));
   const CancelToken token = CancelToken::source();
   token.request_cancel();
   const CancelScope scope(token);
-  const std::vector<InputProbs> batch(8, uniform_input_probs(net, 0.5));
-  EXPECT_THROW(eval.signal_probs_batch(batch), OperationCancelled);
+  const std::vector<double> values(8, 0.25);
+  EXPECT_THROW(session.perturb_screen_sweep(base, 0, values),
+               OperationCancelled);
 }
 
 // --- the job manager --------------------------------------------------------
@@ -351,15 +354,11 @@ TEST(ServiceJobs, CancelledOptimizeReportsCancelled) {
    public:
     explicit SlowNaiveEngine(const Netlist& net)
         : SignalProbEngine(net, "slow-naive") {}
-    std::unique_ptr<SignalProbEngine> clone() const override {
-      return std::make_unique<SlowNaiveEngine>(netlist());
-    }
 
    protected:
-    std::vector<double> compute(
-        std::span<const double> input_probs) const override {
+    Evaluation compute(std::span<const double> input_probs) const override {
       std::this_thread::sleep_for(25ms);
-      return naive_signal_probs(netlist(), input_probs);
+      return {naive_signal_probs(netlist(), input_probs), nullptr};
     }
   };
   register_engine("slow-naive",

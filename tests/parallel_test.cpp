@@ -1,11 +1,12 @@
 // The parallel evaluation layer: the thread pool, the sharded Monte-Carlo
-// engine (thread-count invariance + the seeding contract), the per-clone
-// ParallelBatchEvaluator, the parallel neighborhood sweep, and concurrent
-// AnalysisSession access.  This suite (with session_test) is what the CI
-// ThreadSanitizer job runs.
+// engine (thread-count invariance + the seeding contract), engines shared
+// by concurrent callers, the parallel neighborhood sweep, and concurrent
+// AnalysisSession and service access.  This suite (with session_test) is
+// what the CI ThreadSanitizer job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -15,7 +16,7 @@
 #include "optimize/objective.hpp"
 #include "prob/engine.hpp"
 #include "prob/monte_carlo.hpp"
-#include "prob/parallel_eval.hpp"
+#include "protest/service.hpp"
 #include "protest/session.hpp"
 #include "util/thread_pool.hpp"
 
@@ -95,23 +96,27 @@ TEST(ParallelMonteCarlo, BitIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(ParallelMonteCarlo, BatchBitIdenticalAcrossThreadCountsAndToSingles) {
+TEST(ParallelMonteCarlo, ReusedWorkersBitIdenticalAcrossThreadCounts) {
   const Netlist net = make_c17();
-  std::vector<InputProbs> batch = {uniform_input_probs(net, 0.5),
-                                   varied_tuple(net, 0.3),
-                                   uniform_input_probs(net, 0.125)};
+  const std::vector<InputProbs> tuples = {uniform_input_probs(net, 0.5),
+                                          varied_tuple(net, 0.3),
+                                          uniform_input_probs(net, 0.125)};
   MonteCarloEngineParams params;
   params.num_patterns = 20'000;
   params.parallel.num_threads = 1;
   const MonteCarloEngine serial(net, params);
-  const auto want = serial.signal_probs_batch(batch);
-  // Regression for the seeding contract: batch element i equals the
-  // single-call evaluation of tuple i (both derive shard streams from
-  // (seed, shard) only — nothing depends on the position in the batch).
-  for (std::size_t t = 0; t < batch.size(); ++t)
-    EXPECT_EQ(want[t], serial.signal_probs(batch[t])) << "tuple " << t;
   params.parallel.num_threads = 4;
-  EXPECT_EQ(MonteCarloEngine(net, params).signal_probs_batch(batch), want);
+  const MonteCarloEngine threaded(net, params);
+  // Regression for the seeding contract: an engine that already ran other
+  // tuples (its per-worker simulators reused) equals a fresh engine's
+  // single call — shard streams derive from (seed, shard) only.
+  for (std::size_t t = 0; t < tuples.size(); ++t) {
+    params.parallel.num_threads = 1;
+    const std::vector<double> fresh =
+        MonteCarloEngine(net, params).signal_probs(tuples[t]);
+    EXPECT_EQ(serial.signal_probs(tuples[t]), fresh) << "tuple " << t;
+    EXPECT_EQ(threaded.signal_probs(tuples[t]), fresh) << "tuple " << t;
+  }
 }
 
 TEST(ParallelMonteCarlo, FreeFunctionSharesTheEngineDerivation) {
@@ -141,36 +146,88 @@ TEST(ParallelMonteCarlo, StreamSeedsAreShardUnique) {
   EXPECT_THROW(monte_carlo_thresholds(bad), std::invalid_argument);
 }
 
-// --- per-clone batch evaluation ---------------------------------------------
+// --- one engine, many threads ----------------------------------------------
 
-TEST(ParallelBatchEval, MatchesSerialSingleCallsOnEveryEngine) {
+/// Runs fn(thread) on `n` threads released together.
+template <class Fn>
+void run_together(unsigned n, Fn fn) {
+  std::latch start(n);
+  std::vector<std::jthread> threads;
+  for (unsigned th = 0; th < n; ++th)
+    threads.emplace_back([&, th] {
+      start.arrive_and_wait();
+      fn(th);
+    });
+}
+
+TEST(SharedEngine, ConcurrentCallersMatchSerialOnEveryEngine) {
+  // Four threads evaluate through one fresh engine at once (racing the
+  // PROTEST plan build); every result equals a serial engine's.
   const Netlist net = make_c17();
-  std::vector<InputProbs> batch;
+  std::vector<InputProbs> tuples;
   for (double p : {0.5, 0.25, 0.125, 0.75, 0.0625})
-    batch.push_back(uniform_input_probs(net, p));
+    tuples.push_back(uniform_input_probs(net, p));
   EngineConfig cfg;
   cfg.monte_carlo.num_patterns = 4096;
   for (const std::string& name : engine_names()) {
-    const auto engine = make_engine(name, net, cfg);
-    const ParallelBatchEvaluator eval(*engine, with_threads(4));
-    const auto got = eval.signal_probs_batch(batch);
-    ASSERT_EQ(got.size(), batch.size()) << name;
-    for (std::size_t t = 0; t < batch.size(); ++t)
-      EXPECT_EQ(got[t], engine->signal_probs(batch[t]))
-          << name << " tuple " << t;
+    const auto serial = make_engine(name, net, cfg);
+    std::vector<std::vector<double>> want;
+    for (const InputProbs& t : tuples) want.push_back(serial->signal_probs(t));
+    const auto shared = make_engine(name, net, cfg);
+    std::atomic<int> mismatches{0};
+    run_together(4, [&](unsigned th) {
+      for (std::size_t k = 0; k < tuples.size(); ++k) {
+        const std::size_t t = (k + th) % tuples.size();
+        if (shared->signal_probs(tuples[t]) != want[t]) ++mismatches;
+      }
+    });
+    EXPECT_EQ(mismatches.load(), 0) << name;
   }
 }
 
-TEST(ParallelBatchEval, CloneSharesParametersNotState) {
-  const Netlist net = make_c17();
-  ProtestParams params;
-  params.maxvers = 2;
-  const ProtestEngine engine(net, params);
-  const auto clone = engine.clone();
-  EXPECT_EQ(clone->name(), "protest");
-  EXPECT_EQ(dynamic_cast<const ProtestEngine&>(*clone).params().maxvers, 2u);
-  const InputProbs ip = uniform_input_probs(net, 0.5);
-  EXPECT_EQ(clone->signal_probs(ip), engine.signal_probs(ip));
+TEST(SharedEngine, ProtestEngineServesEveryEntryPointFromFourThreads) {
+  // Full evaluations, exact perturbs and screens from four threads on one
+  // ProtestEngine: each is bit-identical to the same call made serially,
+  // because the conditioning sets travel with the results.
+  const Netlist net = make_circuit("alu");
+  const ProtestEngine serial(net);
+  const ProtestEngine shared(net);
+  const std::size_t ni = net.inputs().size();
+  std::vector<InputProbs> bases;
+  std::vector<Evaluation> base_evals;
+  for (unsigned th = 0; th < 4; ++th) {
+    bases.push_back(varied_tuple(net, 0.5));
+    bases.back()[th] = 0.0625 * (th + 3);
+    base_evals.push_back(serial.evaluate(bases.back()));
+  }
+  struct Want {
+    Evaluation full, exact;
+    std::vector<double> screen;
+  };
+  std::vector<std::vector<Want>> want(4);
+  for (unsigned th = 0; th < 4; ++th)
+    for (std::size_t i = 0; i < ni; ++i)
+      want[th].push_back({serial.evaluate(bases[th]),
+                          serial.perturb(bases[th], base_evals[th], i, 0.875),
+                          serial.screen(bases[th], base_evals[th], i, 0.125)});
+
+  std::atomic<int> mismatches{0};
+  run_together(4, [&](unsigned th) {
+    const Evaluation base = shared.evaluate(bases[th]);
+    if (base.probs != base_evals[th].probs ||
+        *base.selection != *base_evals[th].selection)
+      ++mismatches;
+    for (std::size_t i = 0; i < ni; ++i) {
+      const Want& w = want[th][i];
+      const Evaluation exact = shared.perturb(bases[th], base, i, 0.875);
+      if (exact.probs != w.exact.probs ||
+          *exact.selection != *w.exact.selection)
+        ++mismatches;
+      if (shared.screen(bases[th], base, i, 0.125) != w.screen) ++mismatches;
+      if (shared.evaluate(bases[th]).probs != w.full.probs) ++mismatches;
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- parallel neighborhood sweep --------------------------------------------
@@ -255,6 +312,46 @@ TEST(ConcurrentSession, ParallelCallersMatchTheSerialResults) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(session.stats().analyze_calls, 32u);
+}
+
+TEST(ConcurrentService, OptimizeAndAnalyzeShareOneNetlist) {
+  // A served optimize climbs through the resident session's engine while
+  // analyze requests for the same netlist run; every answer equals the
+  // one a quiet service gives.
+  const std::string load =
+      "{\"verb\":\"load_netlist\",\"id\":1,\"netlist\":\"a\","
+      "\"circuit\":\"alu\"}";
+  const std::string optimize =
+      "{\"verb\":\"optimize\",\"id\":2,\"netlist\":\"a\",\"n\":1000,"
+      "\"sweeps\":1}";
+  auto analyze = [](int k) {
+    return "{\"verb\":\"analyze\",\"id\":3,\"netlist\":\"a\",\"p\":" +
+           std::to_string(0.0625 * (k % 15 + 1)) + "}";
+  };
+  ProtestService quiet;
+  quiet.handle_line(load);
+  const std::string want_opt = quiet.handle_line(optimize);
+  std::vector<std::string> want_analyze;
+  for (int k = 0; k < 15; ++k)
+    want_analyze.push_back(quiet.handle_line(analyze(k)));
+  ASSERT_NE(want_opt.find("\"ok\":true"), std::string::npos) << want_opt;
+
+  ProtestService busy;
+  busy.handle_line(load);
+  std::string got_opt;
+  std::atomic<int> mismatches{0};
+  run_together(3, [&](unsigned th) {
+    if (th == 0) {
+      got_opt = busy.handle_line(optimize);
+      return;
+    }
+    for (int k = 0; k < 15; ++k) {
+      const int t = (k + static_cast<int>(th) * 7) % 15;
+      if (busy.handle_line(analyze(t)) != want_analyze[t]) ++mismatches;
+    }
+  });
+  EXPECT_EQ(got_opt, want_opt);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ConcurrentSession, ParallelPerturbsMatchFromScratch) {

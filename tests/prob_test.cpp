@@ -253,7 +253,9 @@ TEST(ProtestEstimator, AccurateOnAlu) {
 // hashes recorded from the straightforward full-cone kernel.  Any kernel
 // rework must reproduce those numbers bit for bit, not just closely.  The
 // script mirrors the served what-if round: a full evaluation, four exact
-// perturbs of it, a frozen-selection screen after them, then a batch.
+// perturbs of it, a screen after them, then a full evaluation of a new
+// tuple and two more tuples evaluated under its conditioning sets (what
+// the shared-selection batch of the full-cone kernel computed).
 // The values assume IEEE doubles without fused multiply-add contraction
 // (the default x86-64 code generation).
 class Fnv1a {
@@ -287,19 +289,18 @@ std::uint64_t golden_script_hash(const Netlist& net,
   const InputProbs base = tuple(7, 0);
   const ProtestEstimator est(net, params);
   Fnv1a h;
-  const std::vector<double> full = est.signal_probs(base);
-  h.add(full);
+  const Evaluation full = est.evaluate(base);
+  h.add(full.probs);
   h.add(est.stats().gates_conditioned);
   h.add(est.stats().max_w);
   const double moves[] = {0.125, 0.875, 0.3125, 0.5625};
   for (std::size_t k = 0; k < 4; ++k)
-    h.add(est.signal_probs_perturb(base, full, (k * ni) / 4, moves[k]));
-  h.add(est.signal_probs_perturb(base, full, ni / 2, 0.9375,
-                                 PerturbMode::FrozenSelection));
-  const std::vector<InputProbs> batch = {tuple(3, 5), tuple(5, 1),
-                                         uniform_input_probs(net, 0.5)};
-  for (const std::vector<double>& probs : est.signal_probs_batch(batch))
-    h.add(probs);
+    h.add(est.perturb(base, full, (k * ni) / 4, moves[k]).probs);
+  h.add(est.screen(base, full, ni / 2, 0.9375));
+  const Evaluation first = est.evaluate(tuple(3, 5));
+  h.add(first.probs);
+  h.add(est.evaluate_under(tuple(5, 1), *first.selection));
+  h.add(est.evaluate_under(uniform_input_probs(net, 0.5), *first.selection));
   return h.value();
 }
 
@@ -370,16 +371,14 @@ TEST(ProtestEstimator, WideGateReadsFaninsOutsideItsCone) {
       EXPECT_NEAR(got[n], exact[n], 1e-12) << entry << " node " << n;
   };
   const ProtestEstimator est(net);
-  const std::vector<double> full = est.signal_probs(base);
+  const Evaluation full = est.evaluate(base);
   EXPECT_EQ(est.stats().gates_conditioned, 2u);
-  expect_exact(full, base, "signal_probs");
-  expect_exact(est.signal_probs_perturb(base, full, kX, moved[kX]), moved,
+  expect_exact(full.probs, base, "evaluate");
+  expect_exact(est.perturb(base, full, kX, moved[kX]).probs, moved,
                "exact perturb");
-  expect_exact(est.signal_probs_perturb(base, full, kX, moved[kX],
-                                        PerturbMode::FrozenSelection),
-               moved, "screen");
-  const std::vector<InputProbs> batch = {base, moved};
-  expect_exact(est.signal_probs_batch(batch)[1], moved, "batch");
+  expect_exact(est.screen(base, full, kX, moved[kX]), moved, "screen");
+  expect_exact(est.evaluate_under(moved, *full.selection), moved,
+               "evaluate under the base's selection");
   // Recorded from the full-cone kernel, like the cases above.
   EXPECT_EQ(golden_script_hash(net, {}), 14470955687527920721u);
 }

@@ -96,10 +96,11 @@ TEST(AnalysisSession, PerturbMatchesFromScratchAnalyze) {
   }
 }
 
-TEST(AnalysisSession, ScreeningPerturbMatchesBatchSemantics) {
-  // perturb_screen() freezes the conditioning sets selected at the base
-  // tuple — bit-for-bit the engine-level batch semantics anchored there —
-  // and must not pollute the exact-fidelity tuple cache.
+TEST(AnalysisSession, ScreeningPerturbMatchesEvaluationUnderBaseSelection) {
+  // perturb_screen() conditions on the sets selected at the base tuple —
+  // bit for bit a full evaluation of the perturbed tuple under them, even
+  // after other tuples and exact perturbs went through the session's
+  // engine — and must not pollute the exact-fidelity tuple cache.
   const Netlist net = make_circuit("alu");
   AnalysisSession session(net);
   const InputProbs base = varied_tuple(net, 0.5);
@@ -107,20 +108,23 @@ TEST(AnalysisSession, ScreeningPerturbMatchesBatchSemantics) {
   InputProbs perturbed = base;
   perturbed[3] = 0.8125;
 
+  const ProtestEngine reference(net);
+  const std::vector<double> want = reference.estimator().evaluate_under(
+      perturbed, *reference.evaluate(base).selection);
+  session.analyze(uniform_input_probs(net, 0.3));
+  EXPECT_EQ(session.perturb_screen(base_r, 3, 0.8125).signal_probs(), want);
+  for (std::size_t i = 0; i < net.inputs().size(); i += 3)
+    session.perturb(base_r, i, 0.0625);
   const AnalysisResult screened = session.perturb_screen(base_r, 3, 0.8125);
-  EXPECT_EQ(session.stats().screen_evals, 1u);
+  EXPECT_EQ(screened.signal_probs(), want);
+  EXPECT_EQ(session.stats().screen_evals, 2u);
 
-  const auto reference = make_engine("protest", net);
-  const auto batch = reference->signal_probs_batch(
-      std::vector<InputProbs>{base, perturbed});
-  EXPECT_EQ(screened.signal_probs(), batch[1]);
-
-  // The exact path disagrees with the frozen screening on a reconvergent
-  // circuit (it re-selects), and analyze() must serve the exact value.
+  // The exact path disagrees with the screening on a reconvergent circuit
+  // (it re-selects), and analyze() must serve the exact value.
+  const std::size_t hits = session.stats().cache_hits;
   const AnalysisResult exact = session.analyze(perturbed);
-  EXPECT_EQ(session.stats().cache_hits, 0u);
-  EXPECT_EQ(exact.signal_probs(),
-            reference->signal_probs(perturbed));
+  EXPECT_EQ(session.stats().cache_hits, hits);
+  EXPECT_EQ(exact.signal_probs(), reference.signal_probs(perturbed));
 }
 
 TEST(AnalysisSession, PerturbFallsBackOnNonIncrementalEngines) {

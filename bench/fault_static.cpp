@@ -3,6 +3,12 @@
 // pattern, what it costs, and how much the proven-undetectable prune
 // saves the fault simulator.
 //
+// The cost is split the way a session pays it, on the stress circuit and
+// on div (the served structural list): building the tuple-independent
+// FaultContext once, then the per-tuple pass serially and on an executor
+// with one worker per hardware thread.  A threaded result that differs
+// from the serial one in any field is a failure.
+//
 // The stress family is genuinely redundancy-rich (random gate soup breeds
 // constant nodes and blocked cones), so the prune is measured directly on
 // it: plain vs pruned FirstDetection runs — never-detected faults stay
@@ -12,19 +18,25 @@
 // Emits BENCH_fault_static.json.  Exits nonzero if the analysis is caught
 // lying: a proven-undetectable fault the plain simulator detects, a
 // pruned run whose first-detect disagrees with the plain run anywhere
-// else, or a CountDetections estimate outside its static interval
-// (simulate_faults_pruned's built-in 6-sigma oracle).  Optional
-// --min-settled / --min-speedup floors serve as CI regression guards.
+// else, a CountDetections estimate outside its static interval
+// (simulate_faults_pruned's built-in 6-sigma oracle), or a threaded
+// analysis that differs from the serial one.  Optional --min-settled /
+// --min-speedup floors serve as CI regression guards.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/table.hpp"
 #include "bench_util.hpp"
 #include "circuits/random_circuit.hpp"
+#include "circuits/zoo.hpp"
 #include "lint/fault_analyze.hpp"
 #include "sim/fault_sim.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 namespace {
@@ -35,6 +47,45 @@ double best_seconds(int reps, F&& f) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) best = std::min(best, bench::time_seconds(f));
   return best;
+}
+
+struct Split {
+  FaultAnalysis serial;  ///< the per-tuple pass without an executor
+  double context_seconds = 0.0;
+  double serial_seconds = 0.0;
+  bool identical = false;  ///< the threaded pass equals `serial`
+};
+
+/// Times the context build, then the per-tuple pass serially and on
+/// `exec`, recording `<key>.*` metrics.
+Split time_split(const char* key, const Netlist& net,
+                 std::span<const Fault> faults, Executor& exec, int reps,
+                 bench::BenchJson& json) {
+  std::unique_ptr<const FaultContext> ctx;
+  Split sp;
+  sp.context_seconds = bench::time_seconds(
+      [&] { ctx = std::make_unique<const FaultContext>(net); });
+  FaultAnalysis threaded;
+  sp.serial_seconds = best_seconds(
+      reps, [&] { sp.serial = analyze_faults(*ctx, faults, {}); });
+  const double t_threaded = best_seconds(
+      reps, [&] { threaded = analyze_faults(*ctx, faults, {}, &exec); });
+  sp.identical = threaded == sp.serial;
+  const double speedup =
+      t_threaded > 0.0 ? sp.serial_seconds / t_threaded : 0.0;
+  const std::string k = key;
+  json.metric(k + ".faults", static_cast<double>(faults.size()));
+  json.metric(k + ".context_seconds", sp.context_seconds);
+  json.metric(k + ".tuple_serial_seconds", sp.serial_seconds);
+  json.metric(k + ".tuple_threaded_seconds", t_threaded);
+  json.metric(k + ".tuple_speedup", speedup);
+  json.metric(k + ".threaded_identical", sp.identical ? 1.0 : 0.0);
+  std::printf(
+      "%s: %zu faults; context %.3fs, per tuple %.3fs serial, %.3fs on %u "
+      "workers (%.2fx), %s\n",
+      key, faults.size(), sp.context_seconds, sp.serial_seconds, t_threaded,
+      exec.num_workers(), speedup, sp.identical ? "identical" : "DIFFERENT");
+  return sp;
 }
 
 }  // namespace
@@ -73,10 +124,21 @@ int main(int argc, char** argv) {
   json.metric("circuit.gates", static_cast<double>(net.num_gates()));
   json.metric("circuit.faults", static_cast<double>(faults.size()));
 
-  // --- static settlement ----------------------------------------------------
-  FaultAnalysis fa;
-  const double t_analyze =
-      bench::time_seconds([&] { fa = analyze_faults(net, faults); });
+  // --- static settlement: context once, then the per-tuple pass -------------
+  Executor exec(ParallelConfig{}.resolved());
+  json.metric("hardware_threads",
+              static_cast<double>(std::thread::hardware_concurrency()));
+  json.metric("bench_threads", static_cast<double>(exec.num_workers()));
+  const Split stress = time_split("stress", net, faults, exec, quick ? 3 : 1,
+                                  json);
+  const FaultAnalysis& fa = stress.serial;
+  const Netlist div = make_circuit("div");
+  const bool div_identical =
+      time_split("div", div, structural_fault_list(div), exec, 5, json)
+          .identical;
+  // The one-shot analyze_faults is exactly the context build plus the
+  // serial pass.
+  const double t_analyze = stress.context_seconds + stress.serial_seconds;
   json.metric("analyze.seconds", t_analyze);
   json.metric("analyze.faults_per_sec",
               t_analyze > 0.0 ? static_cast<double>(faults.size()) / t_analyze
@@ -174,6 +236,13 @@ int main(int argc, char** argv) {
 
   json.write();
 
+  if (!stress.identical || !div_identical) {
+    std::fprintf(stderr,
+                 "FAIL: the threaded fault analysis differs from the serial "
+                 "one (%s)\n",
+                 stress.identical ? "div" : "stress");
+    return 1;
+  }
   if (contradicted != 0) {
     std::fprintf(stderr,
                  "FAIL: %zu proven-undetectable fault(s) detected by the "

@@ -1,12 +1,15 @@
 #include "lint/fault_analyze.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <queue>
+#include <optional>
 #include <stdexcept>
 
 #include "lint/fold.hpp"
 #include "lint/prob_bounds.hpp"
+#include "util/cancel.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 
@@ -34,7 +37,25 @@ std::string to_string(UndetectableCause c) {
   return "?";
 }
 
+struct FaultContext::Tables {
+  const Netlist* net = nullptr;
+  bool learn = true;
+  ImplicationOptions implication;
+  std::vector<signed char> robust;   ///< forward lattice: blocks propagation
+  std::vector<signed char> learned;  ///< + implications: good values only
+  std::vector<char> plain_reach;
+  std::vector<char> obs_reach;
+  std::size_t learned_count = 0;
+};
+
 namespace {
+
+/// Faults per sweep task.  Large enough that alu's 536 faults form one
+/// task, which runs inline: the executor's caller waits for every worker
+/// to leave a job, so a sub-millisecond job would mostly buy wake-up
+/// stalls.  div's 9,676 faults span sixteen tasks, few enough to keep the
+/// per-task overhead negligible and enough to balance its uneven cones.
+constexpr std::size_t kFaultsPerTask = 640;
 
 /// Same fixed Bloom bit per stem id as prob_bounds (splitmix64 finalizer) —
 /// used to give the fault-origin variable a bit of its own.
@@ -63,65 +84,100 @@ Interval and_frechet(Interval a, Interval b) {
   return {std::max(0.0, a.lo + b.lo - 1.0), std::min(a.hi, b.hi)};
 }
 
-/// The whole per-netlist static context plus per-fault scratch state.
-class Analyzer {
+void validate(const Netlist& net, const Fault& f) {
+  if (f.node >= net.size())
+    throw std::invalid_argument("analyze_faults: fault node out of range");
+  if (!f.is_stem() &&
+      static_cast<std::size_t>(f.pin) >= net.gate(f.node).fanin.size())
+    throw std::invalid_argument("analyze_faults: fault pin out of range");
+}
+
+/// The per-tuple pass: good-value intervals for the requested tuple, with
+/// the learned constants pinned.  Sound: a learned constant IS the good
+/// value on every vector, and a constant net carries no randomness, so it
+/// also drops out of the signatures.  Downstream intervals keep their
+/// pre-pin (wider) values.
+SignalProbBounds pinned_bounds(const FaultContext::Tables& t,
+                               const FaultAnalyzeOptions& opts) {
+  const Netlist& net = *t.net;
+  const InputProbs probs = opts.input_probs.empty()
+                               ? uniform_input_probs(net, opts.p)
+                               : opts.input_probs;
+  validate_input_probs(net, probs);
+  SignalProbBounds sb = signal_prob_bounds(net, probs);
+  for (NodeId n = 0; n < static_cast<NodeId>(net.size()); ++n) {
+    if (t.learned[n] < 0) continue;
+    sb.lo[n] = sb.hi[n] = static_cast<double>(t.learned[n]);
+    sb.sig[n] = 0;
+  }
+  return sb;
+}
+
+/// The pending consumers of one sweep: a bitset over node ids, popped
+/// lowest id first.  Node ids are topological, so every id queued after a
+/// pop lies above it — the scan cursor only moves forward, and the visit
+/// order is exactly a min-heap's.
+class Frontier {
  public:
-  Analyzer(const Netlist& net, const FaultAnalyzeOptions& opts)
-      : net_(net), opts_(opts) {
-    if (!net.finalized())
-      throw std::invalid_argument("analyze_faults: netlist must be finalized");
-    probs_ = opts.input_probs.empty() ? uniform_input_probs(net, opts.p)
-                                      : opts.input_probs;
-    validate_input_probs(net, probs_);
+  explicit Frontier(std::size_t num_nodes) : words_((num_nodes + 63) / 64) {}
 
-    robust_ = propagate_constants(net);
-    learned_ = robust_;
-    if (opts.learn) {
-      ImplicationStats st;
-      learned_ = learn_constants(net, opts.implication, &st);
-      learned_count_ = st.learned;
-    }
+  /// Starts a sweep whose queued ids all lie above `origin`.
+  void start(NodeId origin) { lo_ = hi_ = origin / 64; }
 
-    sb_ = signal_prob_bounds(net, probs_);
-    // Pin the learned constants into the good-value intervals.  Sound: a
-    // learned constant IS the good value on every vector, and a constant
-    // net carries no randomness, so it also drops out of the signatures.
-    // Downstream intervals keep their pre-pin (wider) values.
-    for (NodeId n = 0; n < static_cast<NodeId>(net.size()); ++n) {
-      if (learned_[n] < 0) continue;
-      sb_.lo[n] = sb_.hi[n] = static_cast<double>(learned_[n]);
-      sb_.sig[n] = 0;
-    }
+  bool empty() const { return pending_ == 0; }
 
-    // Reverse reachability to the primary outputs: plain, and restricted
-    // to nodes the forward lattice leaves free.  A robust constant's
-    // derivation passes only through robust constants, so a fault at a
-    // robust-free origin can never flip one — robust constants soundly
-    // block its propagation paths (the dead-gate argument, fault-lifted).
-    const NodeId n = static_cast<NodeId>(net.size());
-    plain_reach_.assign(n, 0);
-    obs_reach_.assign(n, 0);
-    for (NodeId id = n; id-- > 0;) {
-      char plain = net.is_output(id) ? 1 : 0;
-      char obs = plain;
-      for (const NodeId c : net.fanout(id)) {
-        plain |= plain_reach_[c];
-        obs |= static_cast<char>(robust_[c] < 0 && obs_reach_[c]);
-      }
-      plain_reach_[id] = plain;
-      obs_reach_[id] = obs;
-    }
-
-    ev_.resize(n);
-    ev_epoch_.assign(n, 0);
-    queued_epoch_.assign(n, 0);
+  void push(NodeId n) {
+    const std::size_t w = n / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (n % 64);
+    if ((words_[w] & bit) != 0) return;
+    words_[w] |= bit;
+    ++pending_;
+    hi_ = std::max(hi_, w);
   }
 
-  std::size_t learned_count() const { return learned_count_; }
+  NodeId pop() {
+    while (words_[lo_] == 0) ++lo_;
+    const std::uint64_t word = words_[lo_];
+    words_[lo_] = word & (word - 1);
+    --pending_;
+    const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+    return static_cast<NodeId>(lo_ * 64 + bit);
+  }
+
+  /// Drops what a truncated sweep left queued, touching only the words
+  /// that sweep used.
+  void clear() {
+    std::fill(words_.begin() + static_cast<std::ptrdiff_t>(lo_),
+              words_.begin() + static_cast<std::ptrdiff_t>(hi_ + 1), 0);
+    pending_ = 0;
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::size_t lo_ = 0;  ///< no queued id lies below this word
+  std::size_t hi_ = 0;  ///< nor above this one
+  std::size_t pending_ = 0;
+};
+
+/// One worker's per-fault sweep state over a shared context and tuple.
+/// Cache-line aligned: the workers' sweepers sit side by side, and their
+/// counters and cursors change on every visited node.
+class alignas(64) Sweeper {
+ public:
+  Sweeper(const FaultContext::Tables& ctx, const SignalProbBounds& sb,
+          std::size_t max_cone_nodes)
+      : net_(*ctx.net),
+        ctx_(ctx),
+        sb_(sb),
+        max_cone_nodes_(max_cone_nodes),
+        ev_(net_.size()),
+        ev_epoch_(net_.size(), 0),
+        frontier_(net_.size()) {}
+
   std::size_t frechet_widened() const { return frechet_widened_; }
 
+  /// The fault's bound; `f` was validated by the caller.
   FaultBound analyze(const Fault& f) {
-    validate(f);
     const NodeId site =
         f.is_stem() ? f.node : net_.gate(f.node).fanin[f.pin];
 
@@ -136,19 +192,15 @@ class Analyzer {
 
     // Observability prechecks.  The effect surfaces at the stem node
     // itself, or at the faulted pin's consuming gate.
-    const bool origin_free = robust_[site] < 0;
-    if (f.is_stem()) {
-      if (origin_free ? !obs_reach_[f.node] : !plain_reach_[f.node])
-        return undetectable(UndetectableCause::Unobservable);
-    } else {
+    const bool origin_free = ctx_.robust[site] < 0;
+    if (!f.is_stem() && origin_free && ctx_.robust[f.node] >= 0) {
       // A robust-constant gate output is immune to a fault on a pin the
       // lattice did not use to derive it (robust derivations only pass
       // through robust-constant fanins, and this driver is robust-free).
-      if (origin_free && robust_[f.node] >= 0)
-        return undetectable(UndetectableCause::Unobservable);
-      if (origin_free ? !obs_reach_[f.node] : !plain_reach_[f.node])
-        return undetectable(UndetectableCause::Unobservable);
+      return undetectable(UndetectableCause::Unobservable);
     }
+    if (origin_free ? !ctx_.obs_reach[f.node] : !ctx_.plain_reach[f.node])
+      return undetectable(UndetectableCause::Unobservable);
 
     return sweep(f, site, exc, origin_free);
   }
@@ -156,14 +208,6 @@ class Analyzer {
  private:
   static FaultBound undetectable(UndetectableCause cause) {
     return {0.0, 0.0, FaultClass::ProvenUndetectable, cause, false};
-  }
-
-  void validate(const Fault& f) const {
-    if (f.node >= net_.size())
-      throw std::invalid_argument("analyze_faults: fault node out of range");
-    if (!f.is_stem() &&
-        static_cast<std::size_t>(f.pin) >= net_.gate(f.node).fanin.size())
-      throw std::invalid_argument("analyze_faults: fault pin out of range");
   }
 
   struct Ev {
@@ -214,6 +258,7 @@ class Analyzer {
     return out;
   }
 
+  /// Records the event at `n` and queues its consumers.
   void mark(NodeId n, Ev e, double& det_lo, double& det_hi_sum) {
     ev_[n] = e;
     ev_epoch_[n] = epoch_;
@@ -221,48 +266,35 @@ class Analyzer {
       det_lo = std::max(det_lo, e.iv.lo);
       det_hi_sum += e.iv.hi;
     }
-  }
-
-  void push_consumers(NodeId n, std::priority_queue<NodeId, std::vector<NodeId>,
-                                                    std::greater<>>& heap) {
-    for (const NodeId c : net_.fanout(n)) {
-      if (queued_epoch_[c] != epoch_) {
-        queued_epoch_[c] = epoch_;
-        heap.push(c);
-      }
-    }
+    for (const NodeId c : net_.fanout(n)) frontier_.push(c);
   }
 
   FaultBound sweep(const Fault& f, NodeId site, Interval exc,
                    bool origin_free) {
     ++epoch_;
-    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> heap;
     double det_lo = 0.0, det_hi_sum = 0.0;
 
     // Seed: the event at the origin.  stem_bit gives the origin variable a
     // signature bit of its own even when its good-value signature is empty
     // (e.g. a learned-constant line).
-    Ev origin{exc, sb_.sig[site] | stem_bit(site)};
-    if (f.is_stem()) {
-      mark(f.node, origin, det_lo, det_hi_sum);
-      push_consumers(f.node, heap);
-    } else {
-      const Ev eg = combine_single(f.node, f.pin, origin);
-      if (eg.iv.hi <= 0.0) return undetectable(UndetectableCause::Unobservable);
-      mark(f.node, eg, det_lo, det_hi_sum);
-      push_consumers(f.node, heap);
+    Ev seed{exc, sb_.sig[site] | stem_bit(site)};
+    if (!f.is_stem()) {
+      seed = combine_single(f.node, f.pin, seed);
+      if (seed.iv.hi <= 0.0)
+        return undetectable(UndetectableCause::Unobservable);
     }
+    frontier_.start(f.node);
+    mark(f.node, seed, det_lo, det_hi_sum);
 
     std::size_t visited = 0;
-    std::vector<NodeId> drivers;  // distinct affected drivers, reused
-    while (!heap.empty()) {
-      const NodeId c = heap.top();
-      heap.pop();
+    while (!frontier_.empty()) {
+      const NodeId c = frontier_.pop();
       if (ev_epoch_[c] == epoch_) continue;  // seeded origin gate
       // A fault at a robust-free origin can never flip a robust constant.
-      if (origin_free && robust_[c] >= 0) continue;
-      if (++visited > opts_.max_cone_nodes) {
+      if (origin_free && ctx_.robust[c] >= 0) continue;
+      if (++visited > max_cone_nodes_) {
         // Budget: fall back to the excitation bound — still sound.
+        frontier_.clear();
         FaultBound b{0.0, exc.hi, FaultClass::Uncertain,
                      UndetectableCause::None, true};
         if (b.hi <= 0.0) {  // cannot happen (prechecked), but keep it sound
@@ -275,20 +307,20 @@ class Analyzer {
       const Gate& g = net_.gate(c);
       int affected_pins = 0;
       int single_pin = -1;
-      drivers.clear();
+      drivers_.clear();
       for (std::size_t k = 0; k < g.fanin.size(); ++k) {
         const NodeId d = g.fanin[k];
         if (ev_epoch_[d] != epoch_) continue;
         ++affected_pins;
         single_pin = static_cast<int>(k);
-        if (std::find(drivers.begin(), drivers.end(), d) == drivers.end())
-          drivers.push_back(d);
+        if (std::find(drivers_.begin(), drivers_.end(), d) == drivers_.end())
+          drivers_.push_back(d);
       }
       if (affected_pins == 0) continue;
 
       Ev e;
       if (affected_pins == 1) {
-        e = combine_single(c, single_pin, ev_[drivers[0]]);
+        e = combine_single(c, single_pin, ev_[drivers_[0]]);
       } else {
         // Several affected fanins (the fault effect reconverges): the
         // output can only differ if some affected driver differs — union
@@ -297,7 +329,7 @@ class Analyzer {
         ++frechet_widened_;
         double hi = 0.0;
         std::uint64_t sig = 0;
-        for (const NodeId d : drivers) {
+        for (const NodeId d : drivers_) {
           hi += ev_[d].iv.hi;
           sig |= ev_[d].sig;
         }
@@ -307,7 +339,6 @@ class Analyzer {
       }
       if (e.iv.hi <= 0.0) continue;  // provably never differs: cone pruned
       mark(c, e, det_lo, det_hi_sum);
-      push_consumers(c, heap);
     }
 
     Interval det{det_lo, std::min({1.0, det_hi_sum, exc.hi})};
@@ -324,33 +355,104 @@ class Analyzer {
   }
 
   const Netlist& net_;
-  const FaultAnalyzeOptions& opts_;
-  InputProbs probs_;
-  std::vector<signed char> robust_;   ///< forward lattice: blocks propagation
-  std::vector<signed char> learned_;  ///< + implications: good values only
-  SignalProbBounds sb_;               ///< learned-pinned good-value intervals
-  std::vector<char> plain_reach_;
-  std::vector<char> obs_reach_;
-  std::size_t learned_count_ = 0;
+  const FaultContext::Tables& ctx_;
+  const SignalProbBounds& sb_;  ///< learned-pinned good-value intervals
+  std::size_t max_cone_nodes_;
   std::size_t frechet_widened_ = 0;
 
-  // Per-fault sweep scratch, epoch-stamped to avoid O(n) clears.
+  // Per-fault scratch, epoch-stamped to avoid O(n) clears.
   std::vector<Ev> ev_;
   std::vector<std::uint32_t> ev_epoch_;
-  std::vector<std::uint32_t> queued_epoch_;
   std::uint32_t epoch_ = 0;
+  Frontier frontier_;
+  std::vector<NodeId> drivers_;  ///< distinct affected drivers of one gate
 };
 
 }  // namespace
 
+FaultContext::FaultContext(const Netlist& net,
+                           const FaultAnalyzeOptions& opts) {
+  if (!net.finalized())
+    throw std::invalid_argument("analyze_faults: netlist must be finalized");
+  auto t = std::make_unique<Tables>();
+  t->net = &net;
+  t->learn = opts.learn;
+  t->implication = opts.implication;
+  t->robust = propagate_constants(net);
+  t->learned = t->robust;
+  if (opts.learn) {
+    ImplicationStats st;
+    t->learned = learn_constants(net, opts.implication, &st);
+    t->learned_count = st.learned;
+  }
+
+  // Reverse reachability to the primary outputs: plain, and restricted
+  // to nodes the forward lattice leaves free.  A robust constant's
+  // derivation passes only through robust constants, so a fault at a
+  // robust-free origin can never flip one — robust constants soundly
+  // block its propagation paths (the dead-gate argument, fault-lifted).
+  const NodeId n = static_cast<NodeId>(net.size());
+  t->plain_reach.assign(n, 0);
+  t->obs_reach.assign(n, 0);
+  for (NodeId id = n; id-- > 0;) {
+    char plain = net.is_output(id) ? 1 : 0;
+    char obs = plain;
+    for (const NodeId c : net.fanout(id)) {
+      plain |= t->plain_reach[c];
+      obs |= static_cast<char>(t->robust[c] < 0 && t->obs_reach[c]);
+    }
+    t->plain_reach[id] = plain;
+    t->obs_reach[id] = obs;
+  }
+  tables_ = std::move(t);
+}
+
+FaultContext::~FaultContext() = default;
+
 FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
                              const FaultAnalyzeOptions& opts) {
-  Analyzer az(net, opts);
+  return analyze_faults(FaultContext(net, opts), faults, opts);
+}
+
+FaultAnalysis analyze_faults(const FaultContext& ctx,
+                             std::span<const Fault> faults,
+                             const FaultAnalyzeOptions& opts, Executor* exec) {
+  const FaultContext::Tables& t = ctx.tables();
+  if (opts.learn != t.learn || !(opts.implication == t.implication))
+    throw std::invalid_argument(
+        "analyze_faults: learn/implication options differ from the "
+        "context's");
+  const SignalProbBounds sb = pinned_bounds(t, opts);
+  for (const Fault& f : faults) validate(*t.net, f);
+
   FaultAnalysis out;
-  out.bounds.reserve(faults.size());
-  out.learned_constants = az.learned_count();
-  for (const Fault& f : faults) {
-    const FaultBound b = az.analyze(f);
+  out.bounds.resize(faults.size());
+  out.learned_constants = t.learned_count;
+  const std::size_t num_tasks =
+      (faults.size() + kFaultsPerTask - 1) / kFaultsPerTask;
+  const bool fan_out =
+      exec != nullptr && exec->num_workers() > 1 && num_tasks > 1;
+  // Scratch per worker, built on the worker's first task; a slot is only
+  // ever used by one thread at a time.  Each task writes only its own
+  // bounds, so the result does not depend on which worker ran what.
+  std::vector<std::optional<Sweeper>> scratch(fan_out ? exec->num_workers()
+                                                      : 1);
+  const auto task = [&](std::size_t task_index, unsigned worker) {
+    check_cancelled();  // task boundary: a cancel stops within one task
+    std::optional<Sweeper>& slot = scratch[worker];
+    Sweeper& sw = slot ? *slot : slot.emplace(t, sb, opts.max_cone_nodes);
+    const std::size_t begin = task_index * kFaultsPerTask;
+    const std::size_t end = std::min(faults.size(), begin + kFaultsPerTask);
+    for (std::size_t i = begin; i < end; ++i)
+      out.bounds[i] = sw.analyze(faults[i]);
+  };
+  if (fan_out) {
+    exec->parallel_for(num_tasks, task);
+  } else {
+    for (std::size_t i = 0; i < num_tasks; ++i) task(i, 0);
+  }
+
+  for (const FaultBound& b : out.bounds) {
     switch (b.verdict) {
       case FaultClass::ProvenUndetectable:
         ++out.undetectable;
@@ -367,9 +469,9 @@ FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
         break;
     }
     if (b.truncated) ++out.truncated_sweeps;
-    out.bounds.push_back(b);
   }
-  out.frechet_widened = az.frechet_widened();
+  for (const std::optional<Sweeper>& sw : scratch)
+    if (sw) out.frechet_widened += sw->frechet_widened();
   return out;
 }
 

@@ -43,9 +43,28 @@
 //
 // Sweeps are budgeted per fault; a truncated sweep soundly falls back to
 // [0, excitation hi].
+//
+// The work splits by lifetime into three parts:
+//
+//   - FaultContext: the tuple-independent half — the robust and learned
+//     lattices and the reachability to the outputs.  It depends only on the
+//     netlist, `learn` and `implication`, so a caller that analyzes many
+//     tuples (the session's fault_bounds artifact) builds it once and shares
+//     it read-only.
+//   - The per-call pass: validate the tuple and every fault, then compute
+//     the signal-probability intervals and pin the learned constants.
+//   - Per-worker sweep scratch: event values and the frontier.  The
+//     frontier is a bitset over node ids popped lowest id first; node ids
+//     are topological, so a consumer always sits above the node that queued
+//     it and the sweep visits its cone in exactly the order of a min-heap.
+//
+// Each fault's result depends only on the fault, the context and the tuple,
+// and the census sums per-worker counts, so an analysis fanned across any
+// number of workers is field-for-field the serial one.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,6 +74,8 @@
 #include "sim/fault.hpp"
 
 namespace protest {
+
+class Executor;
 
 enum class FaultClass : std::uint8_t {
   ProvenUndetectable,
@@ -80,6 +101,8 @@ struct FaultBound {
   /// The forward event sweep hit its node budget; hi fell back to the
   /// excitation bound (still sound, just wider).
   bool truncated = false;
+
+  friend bool operator==(const FaultBound&, const FaultBound&) = default;
 };
 
 struct FaultAnalyzeOptions {
@@ -119,12 +142,53 @@ struct FaultAnalysis {
                : static_cast<double>(undetectable + detectable) /
                      static_cast<double>(bounds.size());
   }
+
+  /// Field for field: every bound and every census count.
+  friend bool operator==(const FaultAnalysis&, const FaultAnalysis&) = default;
 };
 
-/// Analyzes every fault in the list against the finalized netlist.
-/// Throws std::invalid_argument on an unfinalized netlist, a bad input
-/// tuple, or a fault referencing a nonexistent node/pin.
+/// The tuple-independent half of the analysis, built once per netlist:
+/// the constant lattices (forward and learned) and reachability to the
+/// primary outputs.  Immutable once constructed, so any number of threads
+/// may analyze tuples against one context at once.  The netlist must
+/// outlive it.
+class FaultContext {
+ public:
+  /// Lattices and reachability (opaque; defined in fault_analyze.cpp).
+  struct Tables;
+
+  /// Reads only opts.learn and opts.implication; the tuple and the cone
+  /// budget belong to each analysis.  Throws std::invalid_argument on an
+  /// unfinalized netlist.
+  explicit FaultContext(const Netlist& net,
+                        const FaultAnalyzeOptions& opts = {});
+  ~FaultContext();
+
+  const Tables& tables() const { return *tables_; }
+
+ private:
+  std::unique_ptr<const Tables> tables_;
+};
+
+/// Analyzes every fault in the list against the finalized netlist: builds
+/// a FaultContext and runs the per-tuple pass serially.  Throws
+/// std::invalid_argument on an unfinalized netlist, a bad input tuple, or
+/// a fault referencing a nonexistent node/pin.
 FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
                              const FaultAnalyzeOptions& opts = {});
+
+/// The per-tuple pass against a prebuilt context.  opts.learn and
+/// opts.implication must be the ones the context was built with
+/// (std::invalid_argument otherwise).  With an
+/// executor of more than one worker, the faults are split into fixed-size
+/// tasks across it; a list of one task (and every nested call from one of
+/// the executor's own tasks) runs inline.  Every task boundary is a
+/// cancellation checkpoint (util/cancel.hpp).  The result is field-for-
+/// field the one-shot analyze_faults for every worker count.  Throws as
+/// the one-shot does, before any sweep runs.
+FaultAnalysis analyze_faults(const FaultContext& ctx,
+                             std::span<const Fault> faults,
+                             const FaultAnalyzeOptions& opts,
+                             Executor* exec = nullptr);
 
 }  // namespace protest

@@ -42,6 +42,8 @@ struct ImplicationOptions {
   /// Total budget on assumptions across one learn_constants run; beyond
   /// it the remaining nodes simply stay unknown.
   std::size_t max_assumptions = 1u << 22;
+
+  bool operator==(const ImplicationOptions&) const = default;
 };
 
 struct ImplicationStats {

@@ -120,14 +120,26 @@ struct detail::SessionShared {
   SessionShared(const Netlist& n, SessionOptions o,
                 std::shared_ptr<const SignalProbEngine> e,
                 std::vector<Fault> f)
-      : net(n), opts(std::move(o)), engine(std::move(e)), faults(std::move(f)) {}
+      : net(n),
+        opts(std::move(o)),
+        engine(std::move(e)),
+        faults(std::move(f)),
+        exec(make_executor(opts.parallel)) {}
 
   const Netlist& net;
   SessionOptions opts;
   std::shared_ptr<const SignalProbEngine> engine;
   std::vector<Fault> faults;
+  /// Runs perturb_screen_sweep's fan-out and the fault_bounds sweep: the
+  /// injected shared executor, or a private one whose pool starts on the
+  /// first parallel job.
+  std::shared_ptr<Executor> exec;
   std::mutex scoap_mu;  ///< guards the lazy init below
   std::optional<ScoapMeasures> scoap;  ///< input-independent, session-wide
+  /// The fault analyzer's tuple-independent lattices, built by the first
+  /// fault_bounds() of any result and shared by every later tuple.
+  std::once_flag fault_ctx_once;
+  std::unique_ptr<const FaultContext> fault_ctx;
 };
 
 struct AnalysisResult::State {
@@ -140,8 +152,14 @@ struct AnalysisResult::State {
   /// results never enter the cache and cannot seed perturbs.
   bool exact_fidelity = true;
   /// Guards the lazy artifacts: results are shared across copies (and the
-  /// session cache), so concurrent accessors memoize exactly once.  Never
-  /// held while another lock is taken.
+  /// session cache), so concurrent accessors memoize exactly once.
+  /// Lock order: fault_bounds() holds mu through the fault-context
+  /// call_once and then the executor's job lock while its sweep fans out;
+  /// no other lock is taken under mu.  That cannot deadlock: the context
+  /// build takes no lock, and no executor task takes the session mutex or
+  /// the mu of a result another thread can reach — a screening task locks
+  /// only the fresh result it is building, and its nested fault sweep
+  /// runs inline under the executor's reentrancy guard.
   std::mutex mu;
   // Memoized lazy artifacts (read/written under mu).
   std::optional<Observability> observability;
@@ -236,9 +254,15 @@ const FaultAnalysis& AnalysisResult::fault_bounds() const {
   State& s = checked(state_);
   const std::lock_guard<std::mutex> lock(s.mu);
   if (!s.fault_bounds) {
+    detail::SessionShared& sh = *s.shared;
+    std::call_once(sh.fault_ctx_once, [&] {
+      sh.fault_ctx = std::make_unique<const FaultContext>(sh.net);
+    });
     FaultAnalyzeOptions fo;
     fo.input_probs = s.input_probs;
-    s.fault_bounds = analyze_faults(s.shared->net, s.shared->faults, fo);
+    // A cancelled sweep throws out of here, leaving nothing memoized.
+    s.fault_bounds =
+        analyze_faults(*sh.fault_ctx, sh.faults, fo, sh.exec.get());
   }
   return *s.fault_bounds;
 }
@@ -481,7 +505,6 @@ AnalysisSession::AnalysisSession(
         "AnalysisSession: engine was built on a different netlist");
   cache_ = std::make_unique<ResultCache>(opts.max_cached_results);
   mu_ = std::make_unique<std::mutex>();
-  exec_ = make_executor(opts.parallel);
   shared_ = std::make_shared<detail::SessionShared>(
       net, std::move(opts), std::move(engine), std::move(faults));
 }
@@ -688,7 +711,7 @@ std::vector<AnalysisResult> AnalysisSession::perturb_screen_sweep(
       shared_->engine->internally_parallel() || values.size() < 2) {
     for (std::size_t i = 0; i < values.size(); ++i) task(i, 0);
   } else {
-    exec_->parallel_for(values.size(), task);
+    shared_->exec->parallel_for(values.size(), task);
   }
   return out;
 }

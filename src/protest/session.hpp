@@ -35,10 +35,11 @@
 // materialization on shared AnalysisResults is guarded per result — two
 // threads asking the same result for detection probabilities compute
 // them once.  Throughput inside a query comes from the Monte-Carlo
-// engine, which shards its patterns across threads, and from
+// engine, which shards its patterns across threads, from
 // perturb_screen_sweep(), which fans a neighborhood across the session's
-// executor (SessionOptions::parallel sizes both).  The netlist must
-// outlive the session and every result obtained from it.
+// executor, and from the fault_bounds artifact, which fans its fault list
+// across the same executor (SessionOptions::parallel sizes all three).
+// The netlist must outlive the session and every result obtained from it.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +85,9 @@ struct SessionOptions {
   std::size_t stafan_patterns = 10'000;   ///< STAFAN artifact sample size
   std::uint64_t stafan_seed = 1;          ///< STAFAN artifact pattern seed
   /// Worker count for everything the session parallelizes: the sharded
-  /// Monte-Carlo engine (when engine == "monte-carlo") and the
-  /// perturb_screen_sweep neighborhood fan-out.  Results are bit-identical
-  /// for every value; 1 is the serial path.
+  /// Monte-Carlo engine (when engine == "monte-carlo"), the
+  /// perturb_screen_sweep neighborhood fan-out and the fault_bounds sweep.
+  /// Results are bit-identical for every value; 1 is the serial path.
   ParallelConfig parallel;
 };
 
@@ -194,7 +195,18 @@ class AnalysisResult {
   const std::vector<double>& detection_probs() const; ///< lazy, memoized
   const ScoapMeasures& scoap() const;                 ///< lazy, session-shared
   const StafanMeasures& stafan() const;               ///< lazy, memoized
-  const FaultAnalysis& fault_bounds() const;          ///< lazy, memoized
+
+  /// Static per-fault detection-probability intervals for this tuple
+  /// (lint/fault_analyze), lazy and memoized.  The tuple-independent
+  /// FaultContext is built once per session, by the first call on any of
+  /// its results, and reused for every later tuple; nothing builds it at
+  /// load or for a request that did not ask for fault bounds.  The fault
+  /// list fans out across the session's executor in fixed-size tasks (a
+  /// list of one task, like alu's, runs inline), and the result is field-
+  /// for-field the serial analyze_faults for every worker count.  Each
+  /// task boundary is a cancellation checkpoint; a cancelled call
+  /// memoizes nothing, so the next call recomputes.
+  const FaultAnalysis& fault_bounds() const;
 
   /// Smallest N with P_{F_d} >= e for this tuple (paper sect. 5).
   std::uint64_t test_length(double d, double e) const;
@@ -314,9 +326,6 @@ class AnalysisSession {
   /// Serializes cache + stats access across concurrent callers
   /// (unique_ptr so the session stays movable).
   std::unique_ptr<std::mutex> mu_;
-  /// Runs perturb_screen_sweep's fan-out: the injected shared executor, or
-  /// a private one whose pool starts on the first parallel sweep.
-  std::shared_ptr<Executor> exec_;
 };
 
 }  // namespace protest

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <latch>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "sim/fault.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/pattern.hpp"
+#include "util/executor.hpp"
 #include "validate/recheck.hpp"
 #include "validate/stats.hpp"
 
@@ -68,6 +70,27 @@ bool same_evaluation(const Evaluation& a, const Evaluation& b) {
   return *a.selection == *b.selection;
 }
 
+/// Runs fn(t) for t in [0, n) on n threads released together; returns each
+/// thread's exception message, empty when it returned normally.
+std::vector<std::string> run_together(
+    std::size_t n, const std::function<void(std::size_t)>& fn) {
+  std::vector<std::string> errors(n);
+  std::latch start(static_cast<std::ptrdiff_t>(n));
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < n; ++t)
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        try {
+          fn(t);
+        } catch (const std::exception& e) {
+          errors[t] = e.what();
+        }
+      });
+  }
+  return errors;
+}
+
 /// Runs every differential leg for one spec, appending disagreements
 /// (each carrying the spec) and check counts to the report.
 class CircuitChecker {
@@ -93,6 +116,7 @@ class CircuitChecker {
       return;
     }
     check_engines(net);
+    check_fault_threads(net);
     check_sessions(net);
     check_serve(net);
     check_faults(net);
@@ -214,20 +238,9 @@ class CircuitChecker {
     const auto engine = make_engine(name, net, engine_config(1));
     const std::size_t n = std::max(spec_.threads, 2u);
     std::vector<Evaluation> got(n);
-    std::vector<std::string> errors(n);
-    {
-      std::latch start(static_cast<std::ptrdiff_t>(n));
-      std::vector<std::jthread> threads;
-      for (std::size_t t = 0; t < n; ++t)
-        threads.emplace_back([&, t] {
-          start.arrive_and_wait();
-          try {
-            got[t] = engine->evaluate(spec_.input_probs);
-          } catch (const std::exception& e) {
-            errors[t] = e.what();
-          }
-        });
-    }
+    const std::vector<std::string> errors = run_together(n, [&](std::size_t t) {
+      got[t] = engine->evaluate(spec_.input_probs);
+    });
     for (std::size_t t = 0; t < n; ++t) {
       count();
       if (!errors[t].empty() || !same_evaluation(got[t], serial))
@@ -235,6 +248,39 @@ class CircuitChecker {
                  "thread " + std::to_string(t) + " of " + std::to_string(n) +
                      (errors[t].empty() ? " differs from the serial evaluation"
                                         : " threw: " + errors[t]));
+    }
+  }
+
+  // Determinism of the fault sweep's fan-out: at least two threads
+  // analyze the spec's tuple at once against one shared context on one
+  // executor, over the fault list repeated to span several sweep tasks,
+  // and each result must equal the serial one-shot field for field.
+  void check_fault_threads(const Netlist& net) {
+    const std::vector<Fault> list = structural_fault_list(net);
+    if (list.empty()) return;
+    std::vector<Fault> faults;
+    while (faults.size() < 2048)
+      faults.insert(faults.end(), list.begin(), list.end());
+    FaultAnalyzeOptions fo;
+    fo.input_probs = spec_.input_probs;
+    const FaultAnalysis serial = analyze_faults(net, faults, fo);
+    const FaultContext ctx(net, fo);
+    const unsigned n = std::max(spec_.threads, 2u);
+    Executor exec(n);
+    std::vector<FaultAnalysis> got(n);
+    const std::vector<std::string> errors = run_together(n, [&](std::size_t t) {
+      got[t] = analyze_faults(ctx, faults, fo, &exec);
+    });
+    for (unsigned t = 0; t < n; ++t) {
+      count();
+      if (!errors[t].empty() || got[t] != serial)
+        disagree("fault_bounds_threads", spec_.name,
+                 "thread " + std::to_string(t) + " of " + std::to_string(n) +
+                     (errors[t].empty()
+                          ? " on a " + std::to_string(n) +
+                                "-worker executor differs from the serial "
+                                "analysis"
+                          : " threw: " + errors[t]));
     }
   }
 

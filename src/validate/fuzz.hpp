@@ -18,7 +18,9 @@
 //   determinism  N threads on one shared engine == serial, conditioning
 //                sets included; an exact perturb's selection == a full
 //                evaluation's of the perturbed tuple; Monte-Carlo serial
-//                == N threads — all bit-identical
+//                == N threads; N threads sweeping faults on one shared
+//                fault context and executor == the serial analysis — all
+//                bit-identical
 //   sessions     exact perturb == from-scratch analyze, bit-identical;
 //                perturb_screen_sweep (threaded) == perturb_screen
 //                (serial), bit-identical per element

@@ -1,12 +1,20 @@
 // The static fault analyzer: implication-engine learning, per-fault
 // classification on hand-built redundant circuits, interval soundness
-// against the exact BDD miter oracle, and the pruned/bounded consumers
-// (detection_probs_bounded, simulate_faults_pruned).
+// against the exact BDD miter oracle, the pruned/bounded consumers
+// (detection_probs_bounded, simulate_faults_pruned), golden bit patterns,
+// and the shared-context path: field-for-field equal to the one-shot for
+// every worker count and tuple history, and race-free beside other work on
+// one executor.  This suite runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <filesystem>
+#include <latch>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/random_circuit.hpp"
@@ -19,8 +27,11 @@
 #include "observe/observability.hpp"
 #include "prob/protest_estimator.hpp"
 #include "prob/signal_prob.hpp"
+#include "protest/service.hpp"
+#include "protest/session.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/word_sim.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 namespace {
@@ -217,6 +228,251 @@ TEST(FaultAnalyze, BundledCorpusSettlesAndStaysSound) {
     EXPECT_GE(exact, fa.bounds[i].lo - 1e-9) << to_string(net, faults[i]);
     EXPECT_LE(exact, fa.bounds[i].hi + 1e-9) << to_string(net, faults[i]);
   }
+}
+
+// --- golden bit patterns ----------------------------------------------------
+
+// FNV-1a over the IEEE bit patterns of every bound, its verdict, cause and
+// truncation flag, then the census.  The pinned values were recorded from
+// the heap-driven single-threaded kernel; any rework of the sweep must
+// reproduce them bit for bit.  Like ProtestEstimator.GoldenBitPatterns,
+// they assume IEEE doubles without fused multiply-add contraction.
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::uint64_t analysis_hash(const FaultAnalysis& fa) {
+  Fnv1a h;
+  h.add(fa.bounds.size());
+  for (const FaultBound& b : fa.bounds) {
+    h.add(std::bit_cast<std::uint64_t>(b.lo));
+    h.add(std::bit_cast<std::uint64_t>(b.hi));
+    h.add(static_cast<std::uint64_t>(b.verdict));
+    h.add(static_cast<std::uint64_t>(b.cause));
+    h.add(b.truncated ? 1u : 0u);
+  }
+  for (const std::size_t v :
+       {fa.undetectable, fa.unexcitable, fa.unobservable, fa.detectable,
+        fa.uncertain, fa.truncated_sweeps, fa.frechet_widened,
+        fa.learned_constants})
+    h.add(v);
+  return h.value();
+}
+
+/// A 1/16-grid tuple in (0, 1): exact in binary.
+InputProbs grid_tuple(const Netlist& net) {
+  InputProbs ip(net.inputs().size());
+  for (std::size_t i = 0; i < ip.size(); ++i)
+    ip[i] = 0.0625 * static_cast<double>(1 + (i * 7) % 15);
+  return ip;
+}
+
+TEST(FaultAnalyze, GoldenBitPatterns) {
+  struct Case {
+    const char* circuit;
+    bool grid;
+    std::size_t max_cone_nodes;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"alu", false, 2048, 11669972621537485507u},
+      {"mult", false, 2048, 12776764772172904911u},
+      {"div", false, 2048, 3236161209154449963u},
+      {"div", true, 2048, 8913449097150603611u},
+      {"div", false, 256, 74611312201316223u},
+  };
+  for (const Case& c : cases) {
+    const Netlist net = make_circuit(c.circuit);
+    FaultAnalyzeOptions fo;
+    fo.max_cone_nodes = c.max_cone_nodes;
+    if (c.grid) fo.input_probs = grid_tuple(net);
+    const std::vector<Fault> faults = structural_fault_list(net);
+    EXPECT_EQ(analysis_hash(analyze_faults(net, faults, fo)), c.hash)
+        << c.circuit << (c.grid ? " grid tuple" : " p=0.5")
+        << " max_cone_nodes " << c.max_cone_nodes;
+  }
+}
+
+// --- the shared context -----------------------------------------------------
+
+void expect_same_analysis(const FaultAnalysis& got, const FaultAnalysis& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.bounds.size(), want.bounds.size()) << where;
+  for (std::size_t i = 0; i < want.bounds.size(); ++i)
+    ASSERT_TRUE(got.bounds[i] == want.bounds[i])
+        << where << ": fault " << i << " differs";
+  EXPECT_TRUE(got == want) << where << ": the census differs";
+}
+
+TEST(FaultContext, MatchesOneShotForEveryWorkerCountAndTupleHistory) {
+  const char* data = std::getenv("PROTEST_DATA");
+  ASSERT_NE(data, nullptr) << "PROTEST_DATA not set (see CMakeLists.txt)";
+  std::vector<std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(data))
+    if (e.path().extension() == ".bench") files.push_back(e.path().string());
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  std::vector<std::pair<std::string, Netlist>> nets;
+  nets.reserve(files.size() + 4);
+  for (const std::string& f : files) nets.emplace_back(f, read_bench_file(f));
+  for (const char* name : {"c17", "alu", "mult", "div"})
+    nets.emplace_back(name, make_circuit(name));
+
+  Executor one(1), two(2), four(4);
+  for (const auto& [name, net] : nets) {
+    // Small lists are repeated until they span several sweep tasks, so
+    // every circuit exercises the fan-out and the scratch reuse across
+    // faults and tasks.
+    const std::vector<Fault> list = structural_fault_list(net);
+    ASSERT_FALSE(list.empty()) << name;
+    std::vector<Fault> faults;
+    while (faults.size() < 4096)
+      faults.insert(faults.end(), list.begin(), list.end());
+
+    FaultAnalyzeOptions uniform;
+    FaultAnalyzeOptions edges;  // 0/1 entries: hi <= 0 prunes whole cones
+    edges.input_probs = grid_tuple(net);
+    for (std::size_t i = 0; i < edges.input_probs.size(); i += 3)
+      edges.input_probs[i] = i % 2 == 0 ? 0.0 : 1.0;
+    FaultAnalyzeOptions budget;
+    budget.max_cone_nodes = 64;
+
+    // One context, three tuples in sequence: each must equal the one-shot
+    // for that tuple alone, whatever the context analyzed before.
+    const FaultContext ctx(net);
+    for (const auto& [label, opts] :
+         {std::pair{"uniform", uniform}, std::pair{"0/1 edges", edges},
+          std::pair{"budget 64", budget}}) {
+      const FaultAnalysis want = analyze_faults(net, faults, opts);
+      for (Executor* exec : {&one, &two, &four})
+        expect_same_analysis(
+            analyze_faults(ctx, faults, opts, exec), want,
+            name + " " + label + " on " +
+                std::to_string(exec->num_workers()) + " worker(s)");
+    }
+  }
+}
+
+TEST(FaultContext, RejectsMismatchedOptionsAndBadFaultsBeforeSweeping) {
+  const Netlist net = make_circuit("alu");
+  const FaultContext ctx(net);
+  std::vector<Fault> faults = structural_fault_list(net);
+  FaultAnalyzeOptions no_learn;
+  no_learn.learn = false;
+  EXPECT_THROW(analyze_faults(ctx, faults, no_learn), std::invalid_argument);
+  FaultAnalyzeOptions deeper;
+  deeper.implication.depth = 2;
+  EXPECT_THROW(analyze_faults(ctx, faults, deeper), std::invalid_argument);
+  FaultAnalyzeOptions bad_tuple;
+  bad_tuple.input_probs = {0.5};
+  EXPECT_THROW(analyze_faults(ctx, faults, bad_tuple), std::invalid_argument);
+  // The first bad fault raises, wherever it sits in the list.
+  faults.push_back(Fault{static_cast<NodeId>(net.size()), -1, StuckAt::Zero});
+  Executor exec(2);
+  EXPECT_THROW(analyze_faults(ctx, faults, {}, &exec), std::invalid_argument);
+  EXPECT_THROW(analyze_faults(net, faults), std::invalid_argument);
+}
+
+// --- the session artifact on a shared executor ------------------------------
+
+TEST(FaultBoundsConcurrency, SharedExecutorServesFaultSweepBesideOptimize) {
+  // Two clients on one service, so one shared executor: div's fault sweep
+  // fans out while alu's hill climb screens its neighborhoods on the same
+  // workers.  Every answer must be the serial service's, byte for byte.
+  const std::string loads[] = {
+      R"({"verb":"load_netlist","id":1,"netlist":"d","circuit":"div"})",
+      R"({"verb":"load_netlist","id":2,"netlist":"a","circuit":"alu"})"};
+  const std::string bounds[] = {
+      R"({"verb":"fault_bounds","id":3,"netlist":"d","p":0.5})",
+      R"({"verb":"fault_bounds","id":4,"netlist":"d","p":0.25})"};
+  const std::string optimize =
+      R"({"verb":"optimize","id":5,"netlist":"a","n":20000,"sweeps":1})";
+
+  ServiceConfig serial_cfg;
+  serial_cfg.parallel.num_threads = 1;
+  ProtestService serial(serial_cfg);
+  for (const std::string& l : loads) serial.handle_line(l);
+  const std::string want_bounds[] = {serial.handle_line(bounds[0]),
+                                     serial.handle_line(bounds[1])};
+  const std::string want_optimize = serial.handle_line(optimize);
+  for (const std::string& w : want_bounds)
+    ASSERT_TRUE(ServiceResponse::from_json(w).ok) << w.substr(0, 200);
+  ASSERT_TRUE(ServiceResponse::from_json(want_optimize).ok) << want_optimize;
+
+  ServiceConfig cfg;
+  cfg.parallel.num_threads = 4;
+  ProtestService shared(cfg);
+  for (const std::string& l : loads) shared.handle_line(l);
+  std::string got_bounds[2];
+  std::string got_optimize;
+  {
+    std::latch start(2);
+    std::jthread faults([&] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 2; ++i) got_bounds[i] = shared.handle_line(bounds[i]);
+    });
+    std::jthread climb([&] {
+      start.arrive_and_wait();
+      got_optimize = shared.handle_line(optimize);
+    });
+  }
+  EXPECT_EQ(got_bounds[0], want_bounds[0]);
+  EXPECT_EQ(got_bounds[1], want_bounds[1]);
+  EXPECT_EQ(got_optimize, want_optimize);
+}
+
+TEST(FaultBoundsConcurrency, ScreeningSweepRunsTheNestedFaultSweepInline) {
+  // mult's fault list spans several sweep tasks, so each screening task's
+  // fault_bounds submits to the executor it is already running on; the
+  // reentrancy guard runs it inline, and every candidate equals the serial
+  // screen.
+  const Netlist net = make_circuit("mult");
+  SessionOptions par;
+  par.parallel.num_threads = 4;
+  SessionOptions ser;
+  ser.parallel.num_threads = 1;
+  AnalysisRequest req = AnalysisRequest::minimal();
+  req.fault_bounds = true;
+  AnalysisSession parallel_session(net, par);
+  AnalysisSession serial_session(net, ser);
+  const InputProbs t = uniform_input_probs(net, 0.5);
+  const AnalysisResult pbase = parallel_session.analyze(t, req);
+  const AnalysisResult sbase = serial_session.analyze(t, req);
+  EXPECT_EQ(pbase.to_json(0), sbase.to_json(0));
+  const double values[] = {0.25, 0.75, 0.125, 0.875};
+  const std::vector<AnalysisResult> sweep =
+      parallel_session.perturb_screen_sweep(pbase, 3, values);
+  for (std::size_t i = 0; i < std::size(values); ++i)
+    EXPECT_EQ(sweep[i].to_json(0),
+              serial_session.perturb_screen(sbase, 3, values[i]).to_json(0))
+        << "candidate " << i;
+}
+
+TEST(FaultBoundsConcurrency, ResultOutlivesItsSessionAndKeepsTheExecutor) {
+  const Netlist net = make_circuit("mult");
+  const InputProbs t = grid_tuple(net);
+  AnalysisResult r;
+  {
+    SessionOptions opts;
+    opts.parallel.num_threads = 4;
+    AnalysisSession session(net, opts);
+    r = session.analyze(t, AnalysisRequest::minimal());
+  }
+  FaultAnalyzeOptions fo;
+  fo.input_probs = t;
+  expect_same_analysis(r.fault_bounds(),
+                       analyze_faults(net, structural_fault_list(net), fo),
+                       "mult after the session is gone");
 }
 
 // --- bounded estimator ------------------------------------------------------

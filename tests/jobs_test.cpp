@@ -1,11 +1,12 @@
 // The async job layer: the cooperative-cancellation substrate
 // (util/cancel.hpp), its checkpoints in the long-running paths (the
 // Monte-Carlo shard loop, the hill-climb sweep, the session's parallel
-// neighborhood sweep), the JobManager ticket machine, and the service-level
-// cancellation semantics the ISSUE pins: a cancelled Monte-Carlo job
-// stops within one shard, a cancelled optimize stops within one sweep,
-// and poll() on a cancelled ticket reports `cancelled` — never a partial
-// result.  This suite runs under TSan in CI (real threads throughout).
+// neighborhood sweep, the fault-bounds sweep), the JobManager ticket
+// machine, and the service-level cancellation semantics: a cancelled
+// Monte-Carlo job stops within one shard, a cancelled optimize stops within
+// one sweep, a cancelled fault_bounds stops at a sweep task, and poll() on
+// a cancelled ticket reports `cancelled` — never a partial result.  This
+// suite runs under TSan in CI (real threads throughout).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -379,6 +380,54 @@ TEST(ServiceJobs, CancelledOptimizeReportsCancelled) {
       static_cast<std::uint64_t>(submit.at("job").as_number());
 
   std::this_thread::sleep_for(40ms);  // a couple of evaluations in
+  result_of(service.handle_line(
+      "{\"verb\":\"cancel\",\"id\":4,\"job\":" + std::to_string(job) + "}"));
+  const JsonValue waited = result_of(service.handle_line(
+      "{\"verb\":\"wait\",\"id\":5,\"job\":" + std::to_string(job) + "}"));
+  EXPECT_EQ(waited.at("state").as_string(), "cancelled");
+  EXPECT_EQ(waited.find("response"), nullptr);
+}
+
+TEST(ServiceJobs, CancelledFaultBoundsReportsCancelled) {
+  // The engine holds the job inside its evaluation until the cancel has
+  // landed and then returns normally, so the first checkpoint the job can
+  // reach is the fault sweep's task boundary, which must end it cancelled.
+  static std::atomic<bool> evaluating{false};
+  class CancelGatedEngine final : public SignalProbEngine {
+   public:
+    explicit CancelGatedEngine(const Netlist& net)
+        : SignalProbEngine(net, "cancel-gated") {}
+
+   protected:
+    Evaluation compute(std::span<const double> input_probs) const override {
+      evaluating = true;
+      // Bounded so a lost cancel fails the test instead of hanging it.
+      for (int i = 0; i < 5000 && !current_cancel_token().cancel_requested();
+           ++i)
+        std::this_thread::sleep_for(1ms);
+      return {naive_signal_probs(netlist(), input_probs), nullptr};
+    }
+  };
+  register_engine("cancel-gated",
+                  [](const Netlist& net, const EngineConfig&) {
+                    return std::make_unique<CancelGatedEngine>(net);
+                  });
+
+  ProtestService service;
+  ASSERT_TRUE(ServiceResponse::from_json(
+                  service.handle_line(
+                      "{\"verb\":\"load_netlist\",\"id\":1,\"netlist\":\"a\","
+                      "\"circuit\":\"alu\",\"engine\":\"cancel-gated\"}"))
+                  .ok);
+  const JsonValue submit = result_of(service.handle_line(
+      "{\"verb\":\"submit\",\"id\":2,\"request\":{\"verb\":"
+      "\"fault_bounds\",\"id\":3,\"netlist\":\"a\",\"p\":0.5}}"));
+  const std::uint64_t job =
+      static_cast<std::uint64_t>(submit.at("job").as_number());
+  for (int i = 0; i < 5000 && !evaluating; ++i)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_TRUE(evaluating);
+
   result_of(service.handle_line(
       "{\"verb\":\"cancel\",\"id\":4,\"job\":" + std::to_string(job) + "}"));
   const JsonValue waited = result_of(service.handle_line(

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -565,6 +567,65 @@ TEST(ServiceFaultBounds, VerbReportsSummaryAndPerFaultIntervals) {
       "{\"verb\":\"fault_bounds\",\"id\":3,\"netlist\":\"nope\"}"));
   EXPECT_FALSE(missing.ok);
   EXPECT_EQ(missing.error_code, "unknown_netlist");
+}
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string load_line_for(const char* circuit) {
+  return std::string(
+             R"({"verb":"load_netlist","id":1,"netlist":"n","circuit":")") +
+         circuit + "\"}";
+}
+
+constexpr const char* kFaultBoundsLine =
+    R"({"verb":"fault_bounds","id":2,"netlist":"n","p":0.5})";
+
+// The served fault_bounds line after a fresh load, pinned byte for byte
+// (FNV-1a 64 over the whole response line, recorded from the serial
+// heap-driven kernel).  The sweep now fans out across the service's
+// executor; the bytes must not notice.
+TEST(ServiceFaultBounds, ResponseLinesArePinned) {
+  struct Pin {
+    const char* circuit;
+    std::size_t bytes;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {{"alu", 33'123, 0xb25d5e0ac0408c34ull},
+                      {"mult", 251'272, 0x796b07b3f634345bull},
+                      {"div", 259'464, 0x356ad33a0aea7567ull}};
+  for (const Pin& p : pins) {
+    ProtestService service;
+    const std::string load = service.handle_line(load_line_for(p.circuit));
+    ASSERT_TRUE(ServiceResponse::from_json(load).ok) << load;
+    const std::string line = service.handle_line(kFaultBoundsLine);
+    EXPECT_EQ(line.size(), p.bytes) << p.circuit;
+    EXPECT_EQ(fnv1a64(line), p.hash) << p.circuit;
+  }
+}
+
+TEST(ServiceFaultBounds, DeadlineStopsTheSweepAndMemoizesNothing) {
+  // Building div's fault context alone outlasts a 1 ms budget, so the
+  // sweep's first task boundary answers deadline_exceeded; the same
+  // request without a deadline then computes the pinned line.
+  ProtestService service;
+  ASSERT_TRUE(
+      ServiceResponse::from_json(service.handle_line(load_line_for("div"))).ok);
+  const ServiceResponse late = ServiceResponse::from_json(
+      service.handle_line(R"({"verb":"fault_bounds","id":2,"netlist":"n",)"
+                          R"("p":0.5,"deadline_ms":1})"));
+  EXPECT_FALSE(late.ok);
+  EXPECT_EQ(late.error_code, "deadline_exceeded");
+  EXPECT_EQ(late.verb, "fault_bounds");
+  const std::string line = service.handle_line(kFaultBoundsLine);
+  EXPECT_EQ(line.size(), 259'464u);
+  EXPECT_EQ(fnv1a64(line), 0x356ad33a0aea7567ull);
 }
 
 TEST(ServiceLint, FaultsFlagAddsFaultPasses) {

@@ -12,7 +12,7 @@
 #include "prob/naive.hpp"
 #include "protest/protest.hpp"
 #include "sim/fault_sim.hpp"
-#include "sim/logic_sim.hpp"
+#include "sim/word_sim.hpp"
 
 namespace protest {
 namespace {
@@ -27,8 +27,8 @@ const Netlist& circuit(const std::string& name) {
 void BM_LogicSim64(benchmark::State& state, const std::string& name) {
   const Netlist& net = circuit(name);
   const PatternSet ps = PatternSet::random(net.inputs().size(), 64, 1);
-  BlockSimulator sim(net);
-  for (auto _ : state) benchmark::DoNotOptimize(sim.run(ps, 0));
+  WordSimulator sim(net, 1);
+  for (auto _ : state) benchmark::DoNotOptimize(sim.run_blocks(ps, 0, 1));
   state.SetItemsProcessed(state.iterations() * 64);
 }
 

@@ -1,14 +1,16 @@
-// Raw simulation throughput of the compiled columnar core vs the legacy
-// Gate-struct walker on the 100k-gate stress circuit: gate-evaluations/sec
-// and Mpatterns/sec per word width, plus .bench write/parse rates for the
-// same netlist.  Single-threaded by design — this measures the inner loop
-// the Monte-Carlo shards and the fault simulator sit on, and thread
-// scaling is bench_parallel_eval's job.
+// Raw simulation throughput of the compiled columnar core per word width
+// on the 100k-gate stress circuit: gate-evaluations/sec, Mpatterns/sec and
+// speedup over W = 1, plus .bench write/parse rates for the same netlist.
+// Single-threaded by design — this measures the inner loop the
+// Monte-Carlo shards and the fault simulator sit on, and thread scaling
+// is bench_parallel_eval's job.
 //
-// Emits BENCH_sim_throughput.json.  Exits nonzero if compiled-vs-legacy
-// parity is violated (max diff must be exactly 0) or if the optional
-// --min-gevals-per-sec / --min-speedup floors are not met — the CI release
-// job runs `--quick` with conservative floors as a regression guard.
+// Emits BENCH_sim_throughput.json.  Exits nonzero if parity is violated
+// (max diff must be exactly 0: every width against W = 1 over the whole
+// parity set, and W = 1 against the simulate_single reference on one full
+// block) or if the optional --min-gevals-per-sec / --min-speedup floors
+// are not met — the CI release job runs `--quick` with conservative
+// floors as a regression guard.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -59,25 +61,41 @@ void record(bench::BenchJson& json, const std::string& key, const Rate& r) {
   json.metric(key + ".mpatterns_per_sec", r.mpatterns_per_sec);
 }
 
-/// Exact compiled-vs-legacy comparison over every node and block of `ps`:
-/// returns the maximum |compiled - legacy| over all value words (0 or 1 —
-/// any mismatching bit makes it 1).
+/// Exact width-`words`-vs-W=1 comparison over every node and block of
+/// `ps`: returns the maximum |W - W1| over all value words (0 or 1 — any
+/// mismatching bit makes it 1).
 std::uint64_t parity_max_diff(const Netlist& net, const PatternSet& ps,
                               std::size_t words) {
-  LegacyBlockSimulator legacy(net);
+  WordSimulator w1(net, 1);
   WordSimulator sim(net, words);
   std::uint64_t max_diff = 0;
   for (std::size_t b = 0; b < ps.num_blocks(); b += words) {
     const std::size_t count = std::min(words, ps.num_blocks() - b);
     sim.run_blocks(ps, b, count);
     for (std::size_t w = 0; w < count; ++w) {
-      const auto& ref = legacy.run(ps, b + w);
+      const auto& ref = w1.run_blocks(ps, b + w, 1);
       const std::uint64_t mask = ps.valid_mask(b + w);
       for (NodeId n = 0; n < net.size(); ++n)
         if (((sim.word(n, w) ^ ref[n]) & mask) != 0) max_diff = 1;
     }
   }
   return max_diff;
+}
+
+/// W = 1 against the simulate_single reference on the first block of `ps`,
+/// which must be full (the Gate walk evaluates one pattern per pass, so
+/// one block, not all).
+std::uint64_t reference_max_diff(const Netlist& net, const PatternSet& ps) {
+  WordSimulator w1(net, 1);
+  const auto& vals = w1.run_blocks(ps, 0, 1);
+  std::vector<bool> in(ps.num_inputs());
+  for (std::size_t p = 0; p < 64; ++p) {
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = ps.get(p, i);
+    const std::vector<bool> ref = simulate_single(net, in);
+    for (NodeId n = 0; n < net.size(); ++n)
+      if (((vals[n] >> p) & 1) != ref[n]) return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -106,7 +124,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::print_header("simulation throughput: compiled core vs legacy walker");
+  bench::print_header("simulation throughput: compiled core per word width");
   bench::BenchJson json("sim_throughput");
   json.metric("hardware_threads",
               static_cast<double>(std::thread::hardware_concurrency()));
@@ -130,19 +148,7 @@ int main(int argc, char** argv) {
 
   // --- simulation throughput ------------------------------------------------
   TextTable table({"simulator", "seconds", "Gevals/s", "Mpat/s", "speedup"});
-  LegacyBlockSimulator legacy(net);
-  const Rate r_legacy = rate_of(
-      best_seconds(reps,
-                   [&] {
-                     for (std::size_t b = 0; b < ps.num_blocks(); ++b)
-                       legacy.run(ps, b);
-                   }),
-      gates, num_patterns);
-  record(json, "legacy", r_legacy);
-  table.add_row({"legacy (Gate walk)", fmt(r_legacy.seconds, 4),
-                 fmt(r_legacy.gevals_per_sec / 1e9, 3),
-                 fmt(r_legacy.mpatterns_per_sec, 3), "1.00x"});
-
+  Rate r_w1;
   double best_gevals = 0.0;
   for (const std::size_t w : {std::size_t{1}, std::size_t{4}, std::size_t{8},
                               std::size_t{16}}) {
@@ -155,11 +161,11 @@ int main(int argc, char** argv) {
                                         std::min(w, ps.num_blocks() - b));
                      }),
         gates, num_patterns);
+    if (w == 1) r_w1 = r;
     const std::string key = "compiled.w" + std::to_string(w);
     record(json, key, r);
-    const double speedup =
-        r.seconds > 0.0 ? r_legacy.seconds / r.seconds : 0.0;
-    json.metric(key + ".speedup_vs_legacy", speedup);
+    const double speedup = r.seconds > 0.0 ? r_w1.seconds / r.seconds : 0.0;
+    json.metric(key + ".speedup_vs_w1", speedup);
     table.add_row({"compiled W=" + std::to_string(w), fmt(r.seconds, 4),
                    fmt(r.gevals_per_sec / 1e9, 3),
                    fmt(r.mpatterns_per_sec, 3), fmt(speedup, 2) + "x"});
@@ -167,21 +173,19 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.str().c_str());
   const double best_speedup =
-      r_legacy.gevals_per_sec > 0.0 ? best_gevals / r_legacy.gevals_per_sec
-                                    : 0.0;
+      r_w1.gevals_per_sec > 0.0 ? best_gevals / r_w1.gevals_per_sec : 0.0;
   json.metric("best_w4plus.gevals_per_sec", best_gevals);
-  json.metric("best_w4plus.speedup_vs_legacy", best_speedup);
-  std::printf("best W>=4 vs legacy: %.2fx\n", best_speedup);
+  json.metric("best_w4plus.speedup_vs_w1", best_speedup);
+  std::printf("best W>=4 vs W=1: %.2fx\n", best_speedup);
 
   // --- parity (exact) -------------------------------------------------------
   const PatternSet parity_ps =
       PatternSet::random(net.inputs().size(), quick ? 640 : 2048, 77);
-  std::uint64_t max_diff = 0;
-  for (const std::size_t w :
-       {std::size_t{1}, std::size_t{4}, std::size_t{8}, std::size_t{16}})
+  std::uint64_t max_diff = reference_max_diff(net, parity_ps);
+  for (const std::size_t w : {std::size_t{4}, std::size_t{8}, std::size_t{16}})
     max_diff = std::max(max_diff, parity_max_diff(net, parity_ps, w));
   json.metric("parity.max_diff", static_cast<double>(max_diff));
-  std::printf("compiled-vs-legacy parity max diff: %llu\n",
+  std::printf("parity max diff (W vs W=1, W=1 vs simulate_single): %llu\n",
               static_cast<unsigned long long>(max_diff));
 
   // --- .bench write/parse rate ---------------------------------------------
@@ -207,7 +211,7 @@ int main(int argc, char** argv) {
   json.write();
 
   if (max_diff != 0) {
-    std::fprintf(stderr, "FAIL: compiled-vs-legacy outputs differ\n");
+    std::fprintf(stderr, "FAIL: simulator outputs differ\n");
     return 1;
   }
   if (!stable) {

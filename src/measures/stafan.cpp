@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/logic_sim.hpp"
+#include "sim/word_sim.hpp"
 
 namespace protest {
 namespace {
@@ -41,14 +41,14 @@ StafanMeasures compute_stafan(const Netlist& net, const PatternSet& ps) {
   for (NodeId n = 0; n < net.size(); ++n)
     m.pin_sens[n].assign(net.gate(n).fanin.size(), 0.0);
 
-  BlockSimulator sim(net);
+  WordSimulator sim(net, 1);
   std::vector<std::uint64_t> ones(net.size(), 0);
   std::vector<std::vector<std::uint64_t>> sens(net.size());
   for (NodeId n = 0; n < net.size(); ++n)
     sens[n].assign(net.gate(n).fanin.size(), 0);
 
   for (std::size_t b = 0; b < ps.num_blocks(); ++b) {
-    const auto& vals = sim.run(ps, b);
+    const auto& vals = sim.run_blocks(ps, b, 1);
     const std::uint64_t mask = ps.valid_mask(b);
     for (NodeId n = 0; n < net.size(); ++n) {
       ones[n] += static_cast<std::uint64_t>(std::popcount(vals[n] & mask));

@@ -9,7 +9,6 @@
 #include "prob/exact.hpp"
 #include "prob/monte_carlo.hpp"
 #include "prob/naive.hpp"
-#include "sim/logic_sim.hpp"
 #include "sim/word_sim.hpp"
 #include "util/cancel.hpp"
 #include "util/executor.hpp"
@@ -128,8 +127,7 @@ Evaluation ExactEnumEngine::compute(std::span<const double> input_probs) const {
 /// across shards AND across evaluations, so the hot loop never
 /// allocates.
 struct MonteCarloEngine::Worker {
-  Worker(const Netlist& net, std::size_t words)
-      : sim(net, words), ones(net.size(), 0) {}
+  explicit Worker(const Netlist& net) : sim(net), ones(net.size(), 0) {}
   WordSimulator sim;
   std::vector<std::size_t> ones;
 };
@@ -139,10 +137,6 @@ MonteCarloEngine::MonteCarloEngine(const Netlist& net,
     : SignalProbEngine(net, "monte-carlo"), params_(params) {
   if (params_.num_patterns == 0)
     throw std::invalid_argument("monte-carlo engine: num_patterns must be > 0");
-  if (params_.words_per_block < 1 ||
-      params_.words_per_block > WordSimulator::kMaxWordsPerBlock)
-    throw std::invalid_argument(
-        "monte-carlo engine: words_per_block must be in [1, 64]");
 }
 
 MonteCarloEngine::~MonteCarloEngine() = default;
@@ -169,8 +163,7 @@ Evaluation MonteCarloEngine::compute(
   // worker runs them, and the integer one-counts merge exactly — so the
   // result is bit-identical for any thread count.
   exec_->parallel_for(shards, [&](std::size_t shard, unsigned w) {
-    if (!workers_[w])
-      workers_[w] = std::make_unique<Worker>(net, params_.words_per_block);
+    if (!workers_[w]) workers_[w] = std::make_unique<Worker>(net);
     Worker& wk = *workers_[w];
     monte_carlo_accumulate_shard(wk.sim, thresholds, shard, num_patterns,
                                  params_.seed, wk.ones);

@@ -177,9 +177,6 @@ struct MonteCarloEngineParams {
   /// Workers the pattern shards fan across (see prob/monte_carlo.hpp for
   /// the sharding scheme).  Results are bit-identical for every value.
   ParallelConfig parallel;
-  /// Word-block width of the per-worker WordSimulator (W x 64 patterns
-  /// per compiled-core pass).  Results are bit-identical for every width.
-  std::size_t words_per_block = 8;
 };
 
 /// STAFAN-style Monte-Carlo reference: simulate weighted random patterns

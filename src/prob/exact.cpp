@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "prob/naive.hpp"
-#include "sim/logic_sim.hpp"
+#include "sim/word_sim.hpp"
 #include "sim/pattern.hpp"
 
 namespace protest {
@@ -70,10 +70,10 @@ std::vector<double> exact_signal_probs_enum(const Netlist& net,
   const std::size_t total = std::size_t{1} << ni;
 
   const PatternSet all = PatternSet::exhaustive(ni);
-  BlockSimulator sim(net);
+  WordSimulator sim(net, 1);
   std::vector<double> p(net.size(), 0.0);
   for (std::size_t b = 0; b < all.num_blocks(); ++b) {
-    const auto& vals = sim.run(all, b);
+    const auto& vals = sim.run_blocks(all, b, 1);
     const std::uint64_t mask = all.valid_mask(b);
     for (std::size_t bit = 0; bit < 64; ++bit) {
       if (!((mask >> bit) & 1u)) break;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "prob/naive.hpp"
-#include "sim/logic_sim.hpp"
 #include "sim/word_sim.hpp"
 #include "util/cancel.hpp"
 
@@ -56,49 +55,14 @@ std::vector<std::uint64_t> monte_carlo_thresholds(
   return thresholds;
 }
 
-void monte_carlo_accumulate_shard(BlockSimulator& sim,
-                                  std::span<const std::uint64_t> thresholds,
-                                  std::size_t shard_index,
-                                  std::size_t num_patterns, std::uint64_t seed,
-                                  std::span<std::size_t> ones,
-                                  std::vector<std::uint64_t>& word_buf) {
-  // The shard boundary is the Monte-Carlo cancellation checkpoint: a
-  // cancelled analyze stops before simulating another 8192 patterns, and
-  // because a shard either completes or contributes nothing, the partial
-  // one-counts are simply discarded by the unwind.
-  check_cancelled();
-  const std::size_t begin = shard_index * kMonteCarloShardPatterns;
-  const std::size_t count =
-      std::min(kMonteCarloShardPatterns, num_patterns - begin);
-  const std::size_t num_blocks = (count + 63) / 64;
-  const std::size_t num_inputs = thresholds.size();
-  const std::size_t num_nodes = ones.size();
-  word_buf.resize(num_inputs);
-
-  std::uint64_t state = monte_carlo_stream_seed(seed, shard_index);
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    for (std::size_t i = 0; i < num_inputs; ++i) {
-      const std::uint64_t threshold = thresholds[i];
-      std::uint64_t w = 0;
-      for (int bit = 0; bit < 64; ++bit)
-        if ((splitmix64_next(state) >> 32) < threshold)
-          w |= std::uint64_t{1} << bit;
-      word_buf[i] = w;
-    }
-    const std::vector<std::uint64_t>& vals = sim.run_words(word_buf);
-    const std::size_t rem = count - b * 64;
-    const std::uint64_t mask =
-        rem >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << rem) - 1;
-    for (std::size_t n = 0; n < num_nodes; ++n)
-      ones[n] += static_cast<std::size_t>(std::popcount(vals[n] & mask));
-  }
-}
-
 void monte_carlo_accumulate_shard(WordSimulator& sim,
                                   std::span<const std::uint64_t> thresholds,
                                   std::size_t shard_index,
                                   std::size_t num_patterns, std::uint64_t seed,
                                   std::span<std::size_t> ones) {
+  // A cancelled analyze stops before simulating another 8192 patterns;
+  // because a shard either completes or contributes nothing, the partial
+  // one-counts are simply discarded by the unwind.
   check_cancelled();
   const std::size_t begin = shard_index * kMonteCarloShardPatterns;
   const std::size_t count =
@@ -153,25 +117,6 @@ std::vector<double> monte_carlo_signal_probs(const Netlist& net,
   const std::size_t shards = monte_carlo_num_shards(num_patterns);
   for (std::size_t s = 0; s < shards; ++s)
     monte_carlo_accumulate_shard(sim, thresholds, s, num_patterns, seed, ones);
-  std::vector<double> p(net.size());
-  for (NodeId n = 0; n < net.size(); ++n)
-    p[n] = static_cast<double>(ones[n]) / static_cast<double>(num_patterns);
-  return p;
-}
-
-std::vector<double> monte_carlo_signal_probs(BlockSimulator& sim,
-                                             std::span<const double> input_probs,
-                                             std::size_t num_patterns,
-                                             std::uint64_t seed) {
-  const Netlist& net = sim.netlist();
-  const std::vector<std::uint64_t> thresholds =
-      monte_carlo_thresholds(input_probs);
-  std::vector<std::size_t> ones(net.size(), 0);
-  std::vector<std::uint64_t> word_buf;
-  const std::size_t shards = monte_carlo_num_shards(num_patterns);
-  for (std::size_t s = 0; s < shards; ++s)
-    monte_carlo_accumulate_shard(sim, thresholds, s, num_patterns, seed, ones,
-                                 word_buf);
   std::vector<double> p(net.size());
   for (NodeId n = 0; n < net.size(); ++n)
     p[n] = static_cast<double>(ones[n]) / static_cast<double>(num_patterns);

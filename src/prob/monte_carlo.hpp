@@ -19,9 +19,9 @@
 // uses).  Because the decomposition depends only on (seed, num_patterns)
 // and never on the thread count, and because the per-node one-counts are
 // integers (summation is exact and order-free), the estimate is
-// BIT-IDENTICAL for any number of threads — and identical between
-// single-call and batch evaluation of the same tuple, which share this one
-// derivation rule (regression-tested in tests/parallel_test.cpp).
+// BIT-IDENTICAL for any number of threads and any word-block width —
+// monte_carlo_signal_probs and MonteCarloEngine share this one derivation
+// rule (regression-tested in tests/parallel_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@
 
 namespace protest {
 
-class BlockSimulator;
 class WordSimulator;
 
 /// Patterns per Monte-Carlo shard (128 blocks of 64).  Small enough that
@@ -54,26 +53,16 @@ std::vector<std::uint64_t> monte_carlo_thresholds(
     std::span<const double> input_probs);
 
 /// Simulates one shard and ACCUMULATES per-node one-counts into `ones`
-/// (netlist-sized; not cleared).  `word_buf` is caller-provided scratch for
-/// the per-input pattern words — reusing it across shards and tuples keeps
-/// the hot loop allocation-free (no PatternSet is materialized).  The
-/// shard boundary doubles as the cancellation checkpoint (util/cancel.hpp):
-/// when the calling thread's CancelToken is cancelled this throws
-/// OperationCancelled before simulating, so a cancelled Monte-Carlo job
-/// stops within one shard.
-void monte_carlo_accumulate_shard(BlockSimulator& sim,
-                                  std::span<const std::uint64_t> thresholds,
-                                  std::size_t shard_index,
-                                  std::size_t num_patterns, std::uint64_t seed,
-                                  std::span<std::size_t> ones,
-                                  std::vector<std::uint64_t>& word_buf);
-
-/// Word-blocked shard simulation: generates W = words_per_block() blocks
-/// of pattern words per pass straight into the simulator's input slots
-/// and evaluates them in one compiled-core sweep.  The draw order (per
-/// block, per input, 64 bits) is EXACTLY the documented stream contract,
-/// so the one-counts — and therefore every Monte-Carlo estimate — are
-/// bit-identical to the one-block-per-pass path for every width.
+/// (netlist-sized; not cleared).  Each pass draws W = words_per_block()
+/// blocks of pattern words straight into the simulator's input slots and
+/// evaluates them in one compiled-core sweep, so the hot loop never
+/// allocates (no PatternSet is materialized).  The draw order (per block,
+/// per input, 64 bits) is EXACTLY the documented stream contract, so the
+/// one-counts — and therefore every Monte-Carlo estimate — are
+/// bit-identical for every width.  The shard boundary doubles as the
+/// cancellation checkpoint (util/cancel.hpp): when the calling thread's
+/// CancelToken is cancelled this throws OperationCancelled before
+/// simulating, so a cancelled Monte-Carlo job stops within one shard.
 void monte_carlo_accumulate_shard(WordSimulator& sim,
                                   std::span<const std::uint64_t> thresholds,
                                   std::size_t shard_index,
@@ -81,13 +70,6 @@ void monte_carlo_accumulate_shard(WordSimulator& sim,
                                   std::span<std::size_t> ones);
 
 std::vector<double> monte_carlo_signal_probs(const Netlist& net,
-                                             std::span<const double> input_probs,
-                                             std::size_t num_patterns,
-                                             std::uint64_t seed);
-
-/// Same, reusing the caller's simulator (no input validation — the engine
-/// batch path hoists one BlockSimulator across many validated tuples).
-std::vector<double> monte_carlo_signal_probs(BlockSimulator& sim,
                                              std::span<const double> input_probs,
                                              std::size_t num_patterns,
                                              std::uint64_t seed);

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "netlist/compiled.hpp"
-#include "sim/logic_sim.hpp"
+#include "sim/word_sim.hpp"
 
 namespace protest {
 
@@ -134,7 +134,7 @@ FaultSimResult simulate_impl(const Netlist& net, std::span<const Fault> faults,
   if (mode == FaultSimMode::CountDetections)
     res.detect_count.assign(faults.size(), 0);
 
-  BlockSimulator good_sim(net);
+  WordSimulator good_sim(net, 1);
   ConeSim cone(net);
   std::vector<std::uint64_t> scratch;
   std::vector<std::size_t> live;
@@ -146,7 +146,7 @@ FaultSimResult simulate_impl(const Netlist& net, std::span<const Fault> faults,
   }
 
   for (std::size_t b = 0; b < ps.num_blocks(); ++b) {
-    const auto& good = good_sim.run(ps, b);
+    const auto& good = good_sim.run_blocks(ps, b, 1);
     const std::uint64_t mask = ps.valid_mask(b);
     std::size_t kept = 0;
     for (std::size_t li = 0; li < live.size(); ++li) {

@@ -2,155 +2,41 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <stdexcept>
+
+#include "sim/word_sim.hpp"
 
 namespace protest {
 
-// --- BlockSimulator (W = 1 adapter) -----------------------------------------
-
-const std::vector<std::uint64_t>& BlockSimulator::run(const PatternSet& ps,
-                                                      std::size_t block) {
-  return sim_.run_blocks(ps, block, 1);
-}
-
-const std::vector<std::uint64_t>& BlockSimulator::run_words(
-    const std::vector<std::uint64_t>& input_words) {
-  const auto inputs = sim_.netlist().inputs();
-  if (input_words.size() != inputs.size())
-    throw std::invalid_argument("BlockSimulator: word/input arity mismatch");
-  for (std::size_t i = 0; i < inputs.size(); ++i)
-    sim_.input_words(i)[0] = input_words[i];
-  sim_.run();
-  return sim_.values();
-}
-
-// --- LegacyBlockSimulator ---------------------------------------------------
-
-LegacyBlockSimulator::LegacyBlockSimulator(const Netlist& net)
-    : net_(net), values_(net.size(), 0) {
-  if (!net.finalized())
-    throw std::logic_error("LegacyBlockSimulator: netlist must be finalized");
-}
-
-void LegacyBlockSimulator::eval_gates() {
-  // Indexes straight into values_ per fanin — no per-gate scratch copy
-  // (the original copied every fanin word into a scratch vector per gate
-  // per block, which dominated the profile).
-  for (NodeId n = 0; n < net_.size(); ++n) {
-    const Gate& g = net_.gate(n);
-    switch (g.type) {
-      case GateType::Input:
-        break;
-      case GateType::Const0:
-        values_[n] = 0;
-        break;
-      case GateType::Const1:
-        values_[n] = ~std::uint64_t{0};
-        break;
-      case GateType::Buf:
-        values_[n] = values_[g.fanin[0]];
-        break;
-      case GateType::Not:
-        values_[n] = ~values_[g.fanin[0]];
-        break;
-      case GateType::And:
-      case GateType::Nand: {
-        std::uint64_t acc = ~std::uint64_t{0};
-        for (NodeId f : g.fanin) acc &= values_[f];
-        values_[n] = g.type == GateType::Nand ? ~acc : acc;
-        break;
-      }
-      case GateType::Or:
-      case GateType::Nor: {
-        std::uint64_t acc = 0;
-        for (NodeId f : g.fanin) acc |= values_[f];
-        values_[n] = g.type == GateType::Nor ? ~acc : acc;
-        break;
-      }
-      case GateType::Xor:
-      case GateType::Xnor: {
-        std::uint64_t acc = 0;
-        for (NodeId f : g.fanin) acc ^= values_[f];
-        values_[n] = g.type == GateType::Xnor ? ~acc : acc;
-        break;
-      }
-    }
-  }
-}
-
-const std::vector<std::uint64_t>& LegacyBlockSimulator::run(
-    const PatternSet& ps, std::size_t block) {
-  const auto inputs = net_.inputs();
-  if (ps.num_inputs() != inputs.size())
-    throw std::invalid_argument(
-        "LegacyBlockSimulator: pattern/input arity mismatch");
-  for (std::size_t i = 0; i < inputs.size(); ++i)
-    values_[inputs[i]] = ps.word(i, block);
-  eval_gates();
-  return values_;
-}
-
-const std::vector<std::uint64_t>& LegacyBlockSimulator::run_words(
-    const std::vector<std::uint64_t>& input_words) {
-  const auto inputs = net_.inputs();
-  if (input_words.size() != inputs.size())
-    throw std::invalid_argument(
-        "LegacyBlockSimulator: word/input arity mismatch");
-  for (std::size_t i = 0; i < inputs.size(); ++i)
-    values_[inputs[i]] = input_words[i];
-  eval_gates();
-  return values_;
-}
-
-// --- free functions ---------------------------------------------------------
-
 std::vector<bool> simulate_single(const Netlist& net,
                                   const std::vector<bool>& input_values) {
-  BlockSimulator sim(net);
-  std::vector<std::uint64_t> words(input_values.size());
-  for (std::size_t i = 0; i < input_values.size(); ++i)
-    words[i] = input_values[i] ? ~std::uint64_t{0} : 0;
-  const auto& vals = sim.run_words(words);
+  if (!net.finalized())
+    throw std::logic_error("simulate_single: netlist must be finalized");
+  const auto inputs = net.inputs();
+  if (input_values.size() != inputs.size())
+    throw std::invalid_argument("simulate_single: input count mismatch");
   std::vector<bool> out(net.size());
-  for (NodeId n = 0; n < net.size(); ++n) out[n] = vals[n] & 1u;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    out[inputs[i]] = input_values[i];
+  // eval_gate reads a span<const bool>, which std::vector<bool> cannot
+  // expose: each gate's fanin values are gathered into a plain buffer.
+  std::size_t max_fanin = 0;
+  for (NodeId n = 0; n < net.size(); ++n)
+    max_fanin = std::max(max_fanin, net.gate(n).fanin.size());
+  const auto ins = std::make_unique<bool[]>(max_fanin);
+  for (NodeId n = 0; n < net.size(); ++n) {
+    const Gate& g = net.gate(n);
+    if (g.type == GateType::Input) continue;
+    for (std::size_t k = 0; k < g.fanin.size(); ++k) ins[k] = out[g.fanin[k]];
+    out[n] = eval_gate(g.type, {ins.get(), g.fanin.size()});
+  }
   return out;
 }
 
 std::vector<std::size_t> count_ones(const Netlist& net, const PatternSet& ps) {
   WordSimulator sim(net);
-  return count_ones(sim, ps);
-}
-
-std::vector<std::size_t> count_ones(BlockSimulator& sim, const PatternSet& ps) {
-  std::vector<std::size_t> ones(sim.netlist().size(), 0);
-  count_ones(sim, ps, ones);
-  return ones;
-}
-
-void count_ones(BlockSimulator& sim, const PatternSet& ps,
-                std::vector<std::size_t>& ones) {
-  const Netlist& net = sim.netlist();
-  if (ones.size() != net.size())
-    throw std::invalid_argument("count_ones: accumulator/netlist size mismatch");
-  for (std::size_t b = 0; b < ps.num_blocks(); ++b) {
-    const auto& vals = sim.run(ps, b);
-    const std::uint64_t mask = ps.valid_mask(b);
-    for (NodeId n = 0; n < net.size(); ++n)
-      ones[n] += static_cast<std::size_t>(std::popcount(vals[n] & mask));
-  }
-}
-
-std::vector<std::size_t> count_ones(WordSimulator& sim, const PatternSet& ps) {
-  std::vector<std::size_t> ones(sim.netlist().size(), 0);
-  count_ones(sim, ps, ones);
-  return ones;
-}
-
-void count_ones(WordSimulator& sim, const PatternSet& ps,
-                std::vector<std::size_t>& ones) {
-  const Netlist& net = sim.netlist();
-  if (ones.size() != net.size())
-    throw std::invalid_argument("count_ones: accumulator/netlist size mismatch");
+  std::vector<std::size_t> ones(net.size(), 0);
   const std::size_t W = sim.words_per_block();
   for (std::size_t b = 0; b < ps.num_blocks(); b += W) {
     const std::size_t wb = std::min(W, ps.num_blocks() - b);
@@ -170,6 +56,7 @@ void count_ones(WordSimulator& sim, const PatternSet& ps,
       ones[n] += acc;
     }
   }
+  return ones;
 }
 
 }  // namespace protest

@@ -1,93 +1,31 @@
-// 64-way parallel-pattern logic simulation over a finalized netlist.  This
-// is the substrate for the "static fault simulation" PROTEST validates
-// against (sect. 4/5/6) and for the Monte-Carlo / STAFAN estimators.
+// Reference logic simulation and per-node one-counts over a finalized
+// netlist.  This is the substrate for the "static fault simulation"
+// PROTEST validates against (sect. 4/5/6) and for the Monte-Carlo /
+// STAFAN estimators.
 //
-// BlockSimulator is the width-1 adapter over the compiled simulation core
-// (sim/word_sim.hpp): it keeps the historical one-word-per-node API while
-// evaluation rides the columnar CompiledNetlist layout.  The pre-compiled
-// Gate-struct walker survives as LegacyBlockSimulator — the reference
-// implementation the parity tests and the throughput bench compare
-// against.
+// Every pattern-throughput path runs on WordSimulator (sim/word_sim.hpp),
+// the compiled W x 64 core.  simulate_single is the independent reference
+// the parity tests and the throughput bench check it against: a plain
+// walk over the Gate structs with the Boolean eval_gate, one pattern at a
+// time, sharing no code with the compiled core.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 #include "sim/pattern.hpp"
-#include "sim/word_sim.hpp"
 
 namespace protest {
 
-/// Reusable block simulator: one run() evaluates 64 patterns for every node.
-/// Thin W = 1 adapter over WordSimulator (same compiled evaluation path).
-class BlockSimulator {
- public:
-  explicit BlockSimulator(const Netlist& net) : sim_(net, 1) {}
-
-  /// Simulates pattern block `block` of `ps`; returns per-node value words.
-  const std::vector<std::uint64_t>& run(const PatternSet& ps,
-                                        std::size_t block);
-
-  /// Simulates one block given explicit per-input words (inputs in
-  /// netlist input order).
-  const std::vector<std::uint64_t>& run_words(
-      const std::vector<std::uint64_t>& input_words);
-
-  /// Per-node value words of the last run (W = 1: index == NodeId).
-  const std::vector<std::uint64_t>& values() const { return sim_.values(); }
-  const Netlist& netlist() const { return sim_.netlist(); }
-
- private:
-  WordSimulator sim_;
-};
-
-/// The pre-compiled-core simulator: walks the Gate structs directly.  Kept
-/// as the independent reference for compiled-vs-legacy parity assertions
-/// and as the bench baseline; new code should use BlockSimulator or
-/// WordSimulator.
-class LegacyBlockSimulator {
- public:
-  explicit LegacyBlockSimulator(const Netlist& net);
-
-  const std::vector<std::uint64_t>& run(const PatternSet& ps,
-                                        std::size_t block);
-  const std::vector<std::uint64_t>& run_words(
-      const std::vector<std::uint64_t>& input_words);
-
-  const std::vector<std::uint64_t>& values() const { return values_; }
-  const Netlist& netlist() const { return net_; }
-
- private:
-  void eval_gates();
-
-  const Netlist& net_;
-  std::vector<std::uint64_t> values_;
-};
-
-/// Single-pattern convenience wrapper; returns per-node Boolean values.
+/// Evaluates one pattern (values in netlist input order); returns
+/// per-node Boolean values.  Throws std::logic_error on a non-finalized
+/// netlist and std::invalid_argument on an input-count mismatch.
 std::vector<bool> simulate_single(const Netlist& net,
                                   const std::vector<bool>& input_values);
 
-/// Number of '1' evaluations per node over the whole pattern set.
-/// Evaluates word-blocked (WordSimulator default width) on the compiled
-/// core.
+/// Number of '1' evaluations per node over the whole pattern set, on
+/// the compiled core at WordSimulator's default width.
 std::vector<std::size_t> count_ones(const Netlist& net, const PatternSet& ps);
-
-/// Same, reusing the caller's simulator — batch evaluation hoists one
-/// BlockSimulator across many pattern sets.
-std::vector<std::size_t> count_ones(BlockSimulator& sim, const PatternSet& ps);
-
-/// Same, ACCUMULATING into a caller-provided netlist-sized vector (not
-/// cleared) — per-shard workers merge partial counts without per-call
-/// allocation.  Throws std::invalid_argument on a size mismatch.
-void count_ones(BlockSimulator& sim, const PatternSet& ps,
-                std::vector<std::size_t>& ones);
-
-/// Multi-word variants: W x 64 patterns per pass on the caller's
-/// WordSimulator.  Bit-identical to the BlockSimulator overloads.
-std::vector<std::size_t> count_ones(WordSimulator& sim, const PatternSet& ps);
-void count_ones(WordSimulator& sim, const PatternSet& ps,
-                std::vector<std::size_t>& ones);
 
 }  // namespace protest

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "sim/lfsr.hpp"
-#include "sim/logic_sim.hpp"
+#include "sim/word_sim.hpp"
 
 namespace protest {
 
@@ -68,10 +68,10 @@ void faulty_block(const Netlist& net, const Fault& f,
 
 std::uint64_t good_signature(const Netlist& net, const PatternSet& ps,
                              unsigned width, std::uint64_t init) {
-  BlockSimulator sim(net);
+  WordSimulator sim(net, 1);
   Misr misr(width, init);
   for (std::size_t b = 0; b < ps.num_blocks(); ++b) {
-    const auto& vals = sim.run(ps, b);
+    const auto& vals = sim.run_blocks(ps, b, 1);
     const std::uint64_t mask = ps.valid_mask(b);
     for (std::size_t bit = 0; bit < 64; ++bit) {
       if (!((mask >> bit) & 1u)) break;
@@ -85,11 +85,11 @@ BistResult signature_bist(const Netlist& net, std::span<const Fault> faults,
                           const PatternSet& ps, unsigned width,
                           std::uint64_t init) {
   // Precompute the good values of every block once.
-  BlockSimulator sim(net);
+  WordSimulator sim(net, 1);
   std::vector<std::vector<std::uint64_t>> good_blocks;
   good_blocks.reserve(ps.num_blocks());
   for (std::size_t b = 0; b < ps.num_blocks(); ++b)
-    good_blocks.push_back(sim.run(ps, b));
+    good_blocks.push_back(sim.run_blocks(ps, b, 1));
 
   Misr good_misr(width, init);
   for (std::size_t b = 0; b < ps.num_blocks(); ++b) {

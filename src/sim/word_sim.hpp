@@ -12,9 +12,11 @@
 // view's same-type runs (CompiledNetlist::runs()) with one tight kernel
 // per run.
 //
-// BlockSimulator (sim/logic_sim.hpp) is the W = 1 adapter over this
-// class; the Monte-Carlo shard loop, count_ones, and the throughput
-// benches drive it at W >= 4.
+// This is the repo's one logic simulator.  Per-block callers (fault
+// simulation, STAFAN, signatures, exact enumeration) run it at W = 1,
+// where values()[n] is node n's word; the Monte-Carlo shard loop,
+// count_ones and the throughput benches run it at W >= 4.  Its
+// independent reference is simulate_single (sim/logic_sim.hpp).
 #pragma once
 
 #include <cstdint>

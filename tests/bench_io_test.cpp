@@ -5,7 +5,7 @@
 #include "circuits/iscas.hpp"
 #include "circuits/random_circuit.hpp"
 #include "netlist/bench_io.hpp"
-#include "sim/logic_sim.hpp"
+#include "sim/word_sim.hpp"
 #include "sim/pattern.hpp"
 
 namespace protest {
@@ -145,14 +145,14 @@ TEST(BenchIo, RoundTripPreservesFunction) {
   ASSERT_EQ(copy.outputs().size(), original.outputs().size());
   // Exhaustive functional equivalence over all 32 input combinations.
   const PatternSet all = PatternSet::exhaustive(original.inputs().size());
-  BlockSimulator s1(original), s2(copy);
-  const auto& v1 = s1.run(all, 0);
+  WordSimulator s1(original, 1), s2(copy, 1);
+  const auto& v1 = s1.run_blocks(all, 0, 1);
   const std::vector<std::uint64_t> out1 = [&] {
     std::vector<std::uint64_t> o;
     for (NodeId n : original.outputs()) o.push_back(v1[n]);
     return o;
   }();
-  const auto& v2 = s2.run(all, 0);
+  const auto& v2 = s2.run_blocks(all, 0, 1);
   const std::uint64_t mask = all.valid_mask(0);
   for (std::size_t i = 0; i < out1.size(); ++i)
     EXPECT_EQ(out1[i] & mask, v2[copy.outputs()[i]] & mask);

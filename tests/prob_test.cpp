@@ -1,5 +1,5 @@
 // Signal probability engines: naive (AgAg75), exact (BDD + enumeration),
-// Monte-Carlo, cutting bounds (BDS84), and the PROTEST estimator (sect. 2).
+// Monte-Carlo, and the PROTEST estimator (sect. 2).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,7 +12,6 @@
 #include "circuits/sn74181.hpp"
 #include "circuits/zoo.hpp"
 #include "netlist/builder.hpp"
-#include "prob/cutting.hpp"
 #include "prob/exact.hpp"
 #include "prob/monte_carlo.hpp"
 #include "prob/naive.hpp"
@@ -97,35 +96,6 @@ TEST(MonteCarlo, ConvergesToExact) {
       mc_tolerance(kPatterns, net.size(), net.inputs().size());
   for (NodeId n = 0; n < net.size(); ++n)
     EXPECT_NEAR(mc[n], exact[n], tol) << n;
-}
-
-TEST(CuttingBounds, ContainExactEverywhere) {
-  for (std::uint64_t seed : {5u, 6u, 7u}) {
-    RandomCircuitParams params;
-    params.num_inputs = 7;
-    params.num_gates = 50;
-    params.seed = seed;
-    const Netlist net = make_random_circuit(params);
-    const auto ip = uniform_input_probs(net, 0.5);
-    const auto exact = exact_signal_probs_bdd(net, ip);
-    const auto bounds = cutting_signal_bounds(net, ip);
-    for (NodeId n = 0; n < net.size(); ++n) {
-      EXPECT_TRUE(bounds[n].contains(exact[n]))
-          << "seed " << seed << " node " << n << ": " << exact[n]
-          << " not in [" << bounds[n].lo << ", " << bounds[n].hi << "]";
-    }
-  }
-}
-
-TEST(CuttingBounds, TightOnTrees) {
-  const Netlist net = make_tree();
-  const double ip[] = {0.3, 0.6, 0.5, 0.9};
-  const auto exact = exact_signal_probs_enum(net, ip);
-  const auto bounds = cutting_signal_bounds(net, ip);
-  for (NodeId n = 0; n < net.size(); ++n) {
-    EXPECT_NEAR(bounds[n].lo, exact[n], 1e-12);
-    EXPECT_NEAR(bounds[n].hi, exact[n], 1e-12);
-  }
 }
 
 TEST(ProtestEstimator, ExactOnDiamond) {

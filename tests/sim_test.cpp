@@ -1,6 +1,6 @@
 // Pattern storage, 64-way parallel logic simulation, and the multi-word
-// compiled-core parity suite (WordSimulator == BlockSimulator ==
-// LegacyBlockSimulator == simulate_single, bit for bit).
+// compiled-core parity suite (WordSimulator at every width ==
+// simulate_single, the Gate-struct reference, bit for bit).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -109,20 +109,6 @@ TEST(LogicSim, C17TruthSpotChecks) {
   }
 }
 
-TEST(LogicSim, BlockSimulatorMatchesSingle) {
-  const Netlist net = make_c17();
-  const PatternSet ps = PatternSet::random(5, 64, 99);
-  BlockSimulator sim(net);
-  const auto& words = sim.run(ps, 0);
-  for (std::size_t p = 0; p < 64; ++p) {
-    std::vector<bool> in(5);
-    for (std::size_t i = 0; i < 5; ++i) in[i] = ps.get(p, i);
-    const auto single = simulate_single(net, in);
-    for (NodeId n = 0; n < net.size(); ++n)
-      EXPECT_EQ(bool((words[n] >> p) & 1), single[n]) << "p=" << p << " n=" << n;
-  }
-}
-
 TEST(LogicSim, CountOnesMatchesManualCount) {
   NetlistBuilder bld;
   const NodeId a = bld.input("a");
@@ -148,20 +134,28 @@ TEST(LogicSim, ConstantsEvaluate) {
   EXPECT_TRUE(v[net.find("y0")]);
 }
 
-TEST(LogicSim, RejectsArityMismatch) {
+TEST(LogicSim, SimulateSingleRejectsArityMismatch) {
   const Netlist net = make_c17();
-  const PatternSet ps = PatternSet::random(3, 64, 1);
-  BlockSimulator sim(net);
-  EXPECT_THROW(sim.run(ps, 0), std::invalid_argument);
+  EXPECT_THROW(simulate_single(net, {true, false, true}), std::invalid_argument);
+  EXPECT_THROW(simulate_single(net, std::vector<bool>(6)),
+               std::invalid_argument);
 }
 
 // --- compiled-core parity suite ---------------------------------------------
 
-/// Every node word of every simulator must agree with the legacy
-/// Gate-struct walker on every valid pattern bit — exact, not approximate.
+std::vector<bool> pattern_inputs(const PatternSet& ps, std::size_t p) {
+  std::vector<bool> in(ps.num_inputs());
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = ps.get(p, i);
+  return in;
+}
+
+/// Every node value of WordSimulator, at every width, must agree with the
+/// simulate_single reference on every valid pattern — exact, not
+/// approximate.
 void expect_full_parity(const Netlist& net, const PatternSet& ps) {
-  LegacyBlockSimulator legacy(net);
-  BlockSimulator block(net);
+  std::vector<std::vector<bool>> ref(ps.num_patterns());
+  for (std::size_t p = 0; p < ps.num_patterns(); ++p)
+    ref[p] = simulate_single(net, pattern_inputs(ps, p));
   // 5 exercises the runtime-width fallback; the rest hit specializations.
   for (const std::size_t w :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{5},
@@ -171,17 +165,11 @@ void expect_full_parity(const Netlist& net, const PatternSet& ps) {
     for (std::size_t b = 0; b < ps.num_blocks(); b += w) {
       const std::size_t count = std::min(w, ps.num_blocks() - b);
       sim.run_blocks(ps, b, count);
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto& ref = legacy.run(ps, b + k);
-        const auto& adapter = block.run(ps, b + k);
-        const std::uint64_t mask = ps.valid_mask(b + k);
-        for (NodeId n = 0; n < net.size(); ++n) {
-          ASSERT_EQ(sim.word(n, k) & mask, ref[n] & mask)
-              << "W=" << w << " block=" << b + k << " node=" << n;
-          ASSERT_EQ(adapter[n] & mask, ref[n] & mask)
-              << "block=" << b + k << " node=" << n;
-        }
-      }
+      const std::size_t end = std::min((b + count) * 64, ps.num_patterns());
+      for (std::size_t p = b * 64; p < end; ++p)
+        for (NodeId n = 0; n < net.size(); ++n)
+          ASSERT_EQ(bool((sim.word(n, p / 64 - b) >> (p % 64)) & 1), ref[p][n])
+              << "W=" << w << " pattern=" << p << " node=" << n;
     }
   }
 }
@@ -220,25 +208,58 @@ TEST(WordSim, MatchesSimulateSingle) {
   sim.run_blocks(ps, 0, 2);
   for (const std::size_t p : {std::size_t{0}, std::size_t{63},
                               std::size_t{64}, std::size_t{127}}) {
-    std::vector<bool> in(ni);
-    for (std::size_t i = 0; i < ni; ++i) in[i] = ps.get(p, i);
-    const auto single = simulate_single(net, in);
+    const auto single = simulate_single(net, pattern_inputs(ps, p));
     for (NodeId n = 0; n < net.size(); ++n)
       ASSERT_EQ(bool((sim.word(n, p / 64) >> (p % 64)) & 1), single[n])
           << "p=" << p << " n=" << n;
   }
 }
 
-TEST(WordSim, CountOnesMatchesBlockOverload) {
+TEST(WordSim, CountOnesMatchesSimulateSingle) {
   const Netlist net = make_random_circuit(stress_circuit_params(400, 4));
   // 330 patterns: the word path sees a partial group AND a partial block.
   const PatternSet ps = PatternSet::random(net.inputs().size(), 330, 12);
-  BlockSimulator block(net);
-  const auto ref = count_ones(block, ps);
-  for (const std::size_t w : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    WordSimulator sim(net, w);
-    EXPECT_EQ(count_ones(sim, ps), ref) << "W=" << w;
+  std::vector<std::size_t> ref(net.size(), 0);
+  for (std::size_t p = 0; p < ps.num_patterns(); ++p) {
+    const auto single = simulate_single(net, pattern_inputs(ps, p));
+    for (NodeId n = 0; n < net.size(); ++n) ref[n] += single[n];
   }
+  EXPECT_EQ(count_ones(net, ps), ref);
+}
+
+/// One-counts of the Monte-Carlo stream contract (prob/monte_carlo.hpp)
+/// derived independently of the shard loop: each pattern is re-drawn by
+/// the documented rule and evaluated on the simulate_single reference.
+std::vector<std::size_t> stream_contract_ones(
+    const Netlist& net, std::span<const std::uint64_t> thresholds,
+    std::size_t num_patterns, std::uint64_t seed) {
+  const auto splitmix64_next = [](std::uint64_t& state) {
+    std::uint64_t z = state += 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  std::vector<std::size_t> ones(net.size(), 0);
+  std::vector<std::uint64_t> words(thresholds.size());
+  std::vector<bool> in(thresholds.size());
+  for (std::size_t s = 0; s < monte_carlo_num_shards(num_patterns); ++s) {
+    std::uint64_t state = monte_carlo_stream_seed(seed, s);
+    for (std::size_t p = s * kMonteCarloShardPatterns;
+         p < std::min((s + 1) * kMonteCarloShardPatterns, num_patterns); ++p) {
+      if (p % 64 == 0)
+        for (std::size_t i = 0; i < words.size(); ++i) {
+          words[i] = 0;
+          for (int bit = 0; bit < 64; ++bit)
+            if ((splitmix64_next(state) >> 32) < thresholds[i])
+              words[i] |= std::uint64_t{1} << bit;
+        }
+      for (std::size_t i = 0; i < in.size(); ++i)
+        in[i] = (words[i] >> (p % 64)) & 1;
+      const auto single = simulate_single(net, in);
+      for (NodeId n = 0; n < net.size(); ++n) ones[n] += single[n];
+    }
+  }
+  return ones;
 }
 
 TEST(WordSim, MonteCarloWordPathIsBitIdentical) {
@@ -249,23 +270,19 @@ TEST(WordSim, MonteCarloWordPathIsBitIdentical) {
   const auto thresholds = monte_carlo_thresholds(probs);
   const std::size_t num_patterns = 10'000;  // 2 shards, last one partial
   const std::uint64_t seed = 77;
-
-  BlockSimulator block(net);
-  std::vector<std::size_t> ref(net.size(), 0);
-  std::vector<std::uint64_t> word_buf;
-  for (std::size_t s = 0; s < monte_carlo_num_shards(num_patterns); ++s)
-    monte_carlo_accumulate_shard(block, thresholds, s, num_patterns, seed,
-                                 ref, word_buf);
-
-  for (const std::size_t w : {std::size_t{1}, std::size_t{4}, std::size_t{8},
-                              std::size_t{13}}) {
+  const auto shard_ones = [&](std::size_t w) {
     WordSimulator sim(net, w);
     std::vector<std::size_t> ones(net.size(), 0);
     for (std::size_t s = 0; s < monte_carlo_num_shards(num_patterns); ++s)
       monte_carlo_accumulate_shard(sim, thresholds, s, num_patterns, seed,
                                    ones);
-    EXPECT_EQ(ones, ref) << "W=" << w;
-  }
+    return ones;
+  };
+
+  const std::vector<std::size_t> ref = shard_ones(1);
+  EXPECT_EQ(ref, stream_contract_ones(net, thresholds, num_patterns, seed));
+  for (const std::size_t w : {std::size_t{4}, std::size_t{8}, std::size_t{13}})
+    EXPECT_EQ(shard_ones(w), ref) << "W=" << w;
 }
 
 TEST(WordSim, Validation) {

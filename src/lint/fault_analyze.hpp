@@ -53,10 +53,10 @@
 //     it read-only.
 //   - The per-call pass: validate the tuple and every fault, then compute
 //     the signal-probability intervals and pin the learned constants.
-//   - Per-worker sweep scratch: event values and the frontier.  The
-//     frontier is a bitset over node ids popped lowest id first; node ids
-//     are topological, so a consumer always sits above the node that queued
-//     it and the sweep visits its cone in exactly the order of a min-heap.
+//   - Per-worker sweep scratch: event values and the frontier
+//     (netlist/frontier.hpp, shared with the fault simulator), a bitset
+//     over node ids popped lowest id first; node ids are topological, so
+//     the sweep visits its cone in exactly the order of a min-heap.
 //
 // Each fault's result depends only on the fault, the context and the tuple,
 // and the census sums per-worker counts, so an analysis fanned across any

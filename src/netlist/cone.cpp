@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
 
 #include "netlist/compiled.hpp"
+#include "netlist/frontier.hpp"
 
 namespace protest {
 
@@ -17,23 +17,15 @@ std::vector<NodeId> transitive_fanin(const Netlist& net,
 }
 
 std::vector<NodeId> transitive_fanout(const Netlist& net, NodeId root) {
-  std::vector<char> mark(net.size(), 0);
+  Frontier frontier(net.size());
+  frontier.start(root);
+  frontier.push(root);
   std::vector<NodeId> out;
-  std::queue<NodeId> q;
-  mark[root] = 1;
-  out.push_back(root);
-  q.push(root);
-  while (!q.empty()) {
-    const NodeId n = q.front();
-    q.pop();
-    for (NodeId s : net.fanout(n)) {
-      if (mark[s]) continue;
-      mark[s] = 1;
-      out.push_back(s);
-      q.push(s);
-    }
+  while (!frontier.empty()) {
+    const NodeId n = frontier.pop();
+    out.push_back(n);
+    for (const NodeId s : net.fanout(n)) frontier.push(s);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -19,7 +19,8 @@ std::vector<NodeId> transitive_fanin(const Netlist& net,
                                      std::span<const NodeId> roots,
                                      unsigned max_depth = 0);
 
-/// Nodes in the transitive fanout of `root` (including root), ascending.
+/// Nodes in the transitive fanout of `root` (including root), ascending:
+/// the Frontier (netlist/frontier.hpp) pops them in that order.
 std::vector<NodeId> transitive_fanout(const Netlist& net, NodeId root);
 
 /// Lazy per-primary-input cache of transitive fanout cones — the work

@@ -1,9 +1,8 @@
 #include "observe/miter.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "netlist/compiled.hpp"
-#include "netlist/cone.hpp"
 #include "prob/engine.hpp"
 #include "prob/exact.hpp"
 #include "prob/naive.hpp"
@@ -25,29 +24,29 @@ Netlist build_fault_miter(const Netlist& net, const Fault& f) {
     }
   }
 
-  // Faulty copy of the fanout cone of the fault site.
-  const std::vector<NodeId> cone = transitive_fanout(net, f.node);
-  std::unordered_map<NodeId, NodeId> faulty;
+  // Faulty copy of the fanout cone of the fault site: the site, then every
+  // later node that reads a faulty copy.  A plain ascending scan, so the
+  // miter shares no cone walker with the fault simulator it checks.
+  std::vector<NodeId> faulty(net.size(), kNoNode);
   const NodeId forced =
       m.add_gate(f.sa == StuckAt::One ? GateType::Const1 : GateType::Const0, {});
-  for (NodeId n : cone) {
+  for (NodeId n = f.node; n < net.size(); ++n) {
     const auto fanin = cn.fanin(n);
+    std::vector<NodeId> fi;
     if (n == f.node) {
       if (f.is_stem()) {
         faulty[n] = forced;
         continue;
       }
       // Branch fault: re-instantiate the gate with the faulty pin forced.
-      std::vector<NodeId> fi;
       for (std::size_t k = 0; k < fanin.size(); ++k)
         fi.push_back(static_cast<int>(k) == f.pin ? forced : good[fanin[k]]);
-      faulty[n] = m.add_gate(cn.type(n), std::move(fi), {});
-      continue;
-    }
-    std::vector<NodeId> fi;
-    for (NodeId x : fanin) {
-      auto it = faulty.find(x);
-      fi.push_back(it != faulty.end() ? it->second : good[x]);
+    } else {
+      if (std::none_of(fanin.begin(), fanin.end(),
+                       [&](NodeId x) { return faulty[x] != kNoNode; }))
+        continue;
+      for (NodeId x : fanin)
+        fi.push_back(faulty[x] != kNoNode ? faulty[x] : good[x]);
     }
     faulty[n] = m.add_gate(cn.type(n), std::move(fi), {});
   }
@@ -55,9 +54,8 @@ Netlist build_fault_miter(const Netlist& net, const Fault& f) {
   // XOR each affected primary output with its good twin; OR them together.
   std::vector<NodeId> xors;
   for (NodeId o : net.outputs()) {
-    auto it = faulty.find(o);
-    if (it == faulty.end()) continue;  // output unreachable from the fault
-    xors.push_back(m.add_gate(GateType::Xor, {good[o], it->second}, {}));
+    if (faulty[o] == kNoNode) continue;  // output unreachable from the fault
+    xors.push_back(m.add_gate(GateType::Xor, {good[o], faulty[o]}, {}));
   }
   NodeId root;
   if (xors.empty()) {

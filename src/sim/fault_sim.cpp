@@ -34,89 +34,48 @@ std::vector<double> FaultSimResult::detection_probs() const {
   return p;
 }
 
-namespace {
+FaultCone::FaultCone(const Netlist& net)
+    : net_(net),
+      cn_(net.compiled()),
+      frontier_(net.size()),
+      fval_(net.size(), 0),
+      stamp_(net.size(), 0) {}
 
-/// Per-fault faulty-cone propagation state, reused across faults/blocks.
-/// Fanin/type lookups ride the compiled columnar view — the event-driven
-/// loop touches a handful of gates per fault, and the flat CSR avoids a
-/// Gate-struct pointer chase per event.
-class ConeSim {
- public:
-  explicit ConeSim(const Netlist& net)
-      : net_(net),
-        cn_(net.compiled()),
-        fval_(net.size(), 0),
-        val_epoch_(net.size(), 0),
-        queued_epoch_(net.size(), 0) {}
-
-  /// Word of faulty values at node n under the current epoch.
-  std::uint64_t value(NodeId n, const std::vector<std::uint64_t>& good) const {
-    return val_epoch_[n] == epoch_ ? fval_[n] : good[n];
+std::uint64_t FaultCone::inject(const Fault& f,
+                                const std::vector<std::uint64_t>& good) {
+  if (++epoch_ == 0) {  // wrapped: no stale stamp may match again
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
   }
+  std::uint64_t detected = 0;
+  const auto settle = [&](NodeId n, std::uint64_t v) {
+    const std::uint64_t diff = v ^ good[n];
+    if (diff == 0) return;
+    fval_[n] = v;
+    stamp_[n] = epoch_;
+    if (net_.is_output(n)) detected |= diff;
+    for (const NodeId c : net_.fanout(n)) frontier_.push(c);
+  };
 
-  /// Propagates a difference word injected at `site` with faulty word
-  /// `site_value`; returns the OR over primary outputs of (good ^ faulty).
-  std::uint64_t propagate(NodeId site, std::uint64_t site_value,
-                          const std::vector<std::uint64_t>& good) {
-    ++epoch_;
-    heap_.clear();
-    fval_[site] = site_value;
-    val_epoch_[site] = epoch_;
-    std::uint64_t detected = 0;
-    if (net_.is_output(site)) detected |= site_value ^ good[site];
-    push_fanouts(site);
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      const NodeId n = heap_.back();
-      heap_.pop_back();
-      ins_.clear();
-      for (NodeId f : cn_.fanin(n)) ins_.push_back(value(f, good));
-      const std::uint64_t v = eval_gate_word(cn_.type(n), ins_);
-      fval_[n] = v;
-      val_epoch_[n] = epoch_;
-      const std::uint64_t diff = v ^ good[n];
-      if (diff == 0) continue;
-      if (net_.is_output(n)) detected |= diff;
-      push_fanouts(n);
-    }
-    return detected;
-  }
-
- private:
-  void push_fanouts(NodeId n) {
-    for (NodeId s : net_.fanout(n)) {
-      if (queued_epoch_[s] == epoch_) continue;
-      queued_epoch_[s] = epoch_;
-      heap_.push_back(s);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    }
-  }
-
-  const Netlist& net_;
-  const CompiledNetlist& cn_;
-  std::vector<std::uint64_t> fval_;
-  std::vector<std::uint32_t> val_epoch_;
-  std::vector<std::uint32_t> queued_epoch_;
-  std::vector<NodeId> heap_;  // min-heap on node id == topological order
-  std::vector<std::uint64_t> ins_;
-  std::uint32_t epoch_ = 0;
-};
-
-/// Faulty word at the fault site given the good values of the block.
-std::uint64_t site_value(const Netlist& net, const Fault& f,
-                         const std::vector<std::uint64_t>& good,
-                         std::vector<std::uint64_t>& scratch) {
   const std::uint64_t forced = f.sa == StuckAt::One ? ~std::uint64_t{0} : 0;
-  if (f.is_stem()) return forced;
-  const CompiledNetlist& cn = net.compiled();
-  const std::span<const NodeId> fanin = cn.fanin(f.node);
-  scratch.clear();
-  for (std::size_t k = 0; k < fanin.size(); ++k)
-    scratch.push_back(static_cast<int>(k) == f.pin ? forced : good[fanin[k]]);
-  return eval_gate_word(cn.type(f.node), scratch);
+  std::uint64_t site = forced;
+  if (!f.is_stem()) {
+    const std::span<const NodeId> fanin = cn_.fanin(f.node);
+    ins_.clear();
+    for (std::size_t k = 0; k < fanin.size(); ++k)
+      ins_.push_back(static_cast<int>(k) == f.pin ? forced : good[fanin[k]]);
+    site = eval_gate_word(cn_.type(f.node), ins_);
+  }
+  frontier_.start(f.node);
+  settle(f.node, site);
+  while (!frontier_.empty()) {
+    const NodeId n = frontier_.pop();
+    ins_.clear();
+    for (const NodeId x : cn_.fanin(n)) ins_.push_back(value(x, good));
+    settle(n, eval_gate_word(cn_.type(n), ins_));
+  }
+  return detected;
 }
-
-}  // namespace
 
 namespace {
 
@@ -135,8 +94,7 @@ FaultSimResult simulate_impl(const Netlist& net, std::span<const Fault> faults,
     res.detect_count.assign(faults.size(), 0);
 
   WordSimulator good_sim(net, 1);
-  ConeSim cone(net);
-  std::vector<std::uint64_t> scratch;
+  FaultCone cone(net);
   std::vector<std::size_t> live;
   live.reserve(faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -151,11 +109,7 @@ FaultSimResult simulate_impl(const Netlist& net, std::span<const Fault> faults,
     std::size_t kept = 0;
     for (std::size_t li = 0; li < live.size(); ++li) {
       const std::size_t fi = live[li];
-      const Fault& f = faults[fi];
-      const std::uint64_t sv = site_value(net, f, good, scratch);
-      const std::uint64_t diff = (sv ^ good[f.node]) & mask;
-      std::uint64_t det = 0;
-      if (diff != 0) det = cone.propagate(f.node, sv, good) & mask;
+      const std::uint64_t det = cone.inject(faults[fi], good) & mask;
       if (det != 0 && res.first_detect[fi] < 0)
         res.first_detect[fi] =
             static_cast<std::int64_t>(b * 64 + std::countr_zero(det));

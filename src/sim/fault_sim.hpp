@@ -1,5 +1,5 @@
-// Static fault simulation: parallel-pattern good simulation plus per-fault
-// event-driven cone resimulation.  Two modes:
+// Static fault simulation: one good simulation per 64-pattern block, then
+// one walk of the one fault injector, FaultCone, per fault.  Two modes:
 //
 //   CountDetections  — counts, for every fault, how many patterns detect it.
 //                      P_SIM(f) = count / N is the empirical detection
@@ -15,11 +15,40 @@
 #include <vector>
 
 #include "lint/fault_analyze.hpp"
+#include "netlist/frontier.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/fault.hpp"
 #include "sim/pattern.hpp"
 
 namespace protest {
+
+/// One fault's effect on one block of 64 patterns: the fault forced at its
+/// site, the difference walked through the site's fanout cone on the
+/// Frontier, a faulty word kept only where it differs from the good one.
+/// Reused across faults and blocks; one per thread.
+class FaultCone {
+ public:
+  explicit FaultCone(const Netlist& net);
+
+  /// Injects `f` into the block whose good node words are `good` (W = 1)
+  /// and returns the OR over the primary outputs of good ^ faulty, with
+  /// bits past the block's valid patterns unmasked.
+  std::uint64_t inject(const Fault& f, const std::vector<std::uint64_t>& good);
+
+  /// Faulty word of node `n` under the last inject, until the next one.
+  std::uint64_t value(NodeId n, const std::vector<std::uint64_t>& good) const {
+    return stamp_[n] == epoch_ ? fval_[n] : good[n];
+  }
+
+ private:
+  const Netlist& net_;
+  const CompiledNetlist& cn_;
+  Frontier frontier_;
+  std::vector<std::uint64_t> fval_;
+  std::vector<std::uint32_t> stamp_;  ///< fval_[n] is current iff == epoch_
+  std::vector<std::uint64_t> ins_;
+  std::uint32_t epoch_ = 1;
+};
 
 enum class FaultSimMode { CountDetections, FirstDetection };
 

@@ -17,7 +17,8 @@
 
 namespace protest {
 
-/// Multiple-input signature register over GF(2), width 2..64.
+/// Multiple-input signature register over GF(2), widths 2..32 and 64 (the
+/// LFSR tap table's); any other width throws std::invalid_argument.
 class Misr {
  public:
   explicit Misr(unsigned width, std::uint64_t init = 0);
@@ -56,9 +57,9 @@ struct BistResult {
   }
 };
 
-/// Full BIST emulation: per fault, simulate the faulty circuit over the
-/// whole pattern set and compare signatures.  Exact but O(faults * patterns
-/// * circuit) — meant for validation-sized problems.
+/// Full BIST emulation, exact: per block, each fault's FaultCone walk
+/// clocks that fault's MISR.  Per fault and block it costs the fault's
+/// effect cone plus one O(outputs) MISR clock per valid pattern.
 BistResult signature_bist(const Netlist& net, std::span<const Fault> faults,
                           const PatternSet& ps, unsigned width,
                           std::uint64_t init = 0);

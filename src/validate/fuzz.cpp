@@ -19,6 +19,7 @@
 #include "lint/fault_analyze.hpp"
 #include "lint/prob_bounds.hpp"
 #include "netlist/bench_io.hpp"
+#include "observe/miter.hpp"
 #include "prob/engine.hpp"
 #include "protest/service.hpp"
 #include "protest/session.hpp"
@@ -421,8 +422,10 @@ class CircuitChecker {
   }
 
   // Fault layer: under uniform 0.5 inputs the exhaustive fault
-  // simulator's detection probabilities are exact — each must land inside
-  // the static analyzer's sound per-fault interval.
+  // simulator's detection probabilities are exact dyadic rationals.  Each
+  // must equal the BDD of the fault's miter (observe/miter, sharing no code
+  // with the simulator's cone walk), and lie inside the static analyzer's
+  // sound per-fault interval.
   void check_faults(const Netlist& net) {
     if (net.inputs().size() > spec_.max_exhaustive_inputs) return;
     const std::vector<Fault> faults = structural_fault_list(net);
@@ -431,9 +434,16 @@ class CircuitChecker {
         simulate_faults(net, faults, PatternSet::exhaustive(net.inputs().size()),
                         FaultSimMode::CountDetections);
     const std::vector<double> probs = sim.detection_probs();
+    const std::vector<double> uniform(net.inputs().size(), 0.5);
     for (std::size_t f = 0; f < faults.size(); ++f) {
+      const double miter = exact_detection_prob_bdd(net, faults[f], uniform);
+      count(2);  // the miter and the interval
+      if (probs[f] != miter)
+        disagree("fault_sim_vs_miter", to_string(net, faults[f]),
+                 "exhaustive detection probability " +
+                     format_double(probs[f]) +
+                     " differs from the miter BDD's " + format_double(miter));
       const FaultBound& b = fa.bounds[f];
-      count();
       if (probs[f] < b.lo - 1e-9 || probs[f] > b.hi + 1e-9) {
         disagree("fault_interval", to_string(net, faults[f]),
                  "exhaustive detection probability " +

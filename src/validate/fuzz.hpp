@@ -29,7 +29,8 @@
 //                serve_ndjson == direct handle_line per line; payloads
 //                re-verified by the independent validate/recheck leg
 //   faults       exhaustive fault simulation's detection probabilities
-//                inside the static analyzer's per-fault intervals
+//                equal to the BDD of each fault's miter, and inside the
+//                static analyzer's per-fault intervals
 //
 // Every disagreement is serialized as a SELF-CONTAINED repro artifact —
 // the full circuit spec (generator params or bench text), input tuple,

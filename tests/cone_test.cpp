@@ -5,7 +5,9 @@
 #include <algorithm>
 
 #include "circuits/iscas.hpp"
+#include "circuits/random_circuit.hpp"
 #include "netlist/cone.hpp"
+#include "netlist/frontier.hpp"
 
 namespace protest {
 namespace {
@@ -60,6 +62,64 @@ TEST(Cone, TransitiveFanoutReachesOutputs) {
   EXPECT_TRUE(contains(tfo, d.r));
   EXPECT_TRUE(contains(tfo, d.y));
   EXPECT_FALSE(contains(tfo, d.a));
+}
+
+TEST(Cone, TransitiveFanoutMatchesAscendingScan) {
+  RandomCircuitParams params;
+  params.num_inputs = 8;
+  params.num_gates = 200;
+  params.seed = 11;
+  const Netlist net = make_random_circuit(params);
+  for (NodeId root = 0; root < net.size(); ++root) {
+    // Reference: a node is in the cone iff it is the root or one of its
+    // fanins is; fanins precede their gates, so one ascending pass decides.
+    std::vector<char> in(net.size(), 0);
+    std::vector<NodeId> want;
+    for (NodeId n = root; n < net.size(); ++n) {
+      in[n] = n == root;
+      for (const NodeId x : net.gate(n).fanin) in[n] |= in[x];
+      if (in[n]) want.push_back(n);
+    }
+    EXPECT_EQ(transitive_fanout(net, root), want) << root;
+  }
+}
+
+// --- the shared topological worklist ----------------------------------------
+
+/// Pops until the frontier is empty.
+std::vector<NodeId> drain(Frontier& fr) {
+  std::vector<NodeId> out;
+  while (!fr.empty()) out.push_back(fr.pop());
+  return out;
+}
+
+TEST(Frontier, PopsAscendingAcrossWords) {
+  Frontier fr(300);
+  fr.start(5);
+  for (const NodeId n : {250u, 70u, 64u, 6u, 199u, 63u}) fr.push(n);
+  EXPECT_EQ(fr.pop(), 6u);
+  fr.push(65);  // a consumer of the popped node, queued mid-sweep
+  EXPECT_EQ(drain(fr), (std::vector<NodeId>{63, 64, 65, 70, 199, 250}));
+}
+
+TEST(Frontier, DuplicatePushIsQueuedOnce) {
+  Frontier fr(128);
+  fr.start(0);
+  for (const NodeId n : {9u, 100u, 9u, 100u, 9u}) fr.push(n);
+  EXPECT_EQ(drain(fr), (std::vector<NodeId>{9, 100}));
+}
+
+TEST(Frontier, ClearAfterAnAbandonedSweepLeavesTheNextStartClean) {
+  Frontier fr(512);
+  fr.start(10);
+  for (const NodeId n : {20u, 130u, 400u}) fr.push(n);
+  EXPECT_EQ(fr.pop(), 20u);
+  fr.clear();  // abandoned with 130 and 400 still queued
+  EXPECT_TRUE(fr.empty());
+  fr.start(3);  // below the abandoned sweep's words
+  fr.push(7);
+  fr.push(200);
+  EXPECT_EQ(drain(fr), (std::vector<NodeId>{7, 200}));
 }
 
 TEST(JoiningPoints, DiamondStemFound) {

@@ -7,6 +7,7 @@
 
 #include "circuits/iscas.hpp"
 #include "circuits/random_circuit.hpp"
+#include "circuits/zoo.hpp"
 #include "netlist/builder.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/logic_sim.hpp"
@@ -143,6 +144,68 @@ TEST(FaultSim, PartialLastBlockHandled) {
   for (std::size_t i = 0; i < faults.size(); ++i) {
     EXPECT_LE(res.detect_count[i], 70u);
     EXPECT_LT(res.first_detect[i], 70);
+  }
+}
+
+// --- golden bit patterns ----------------------------------------------------
+
+// FNV-1a over 64-bit words, fed byte by byte: the simulator's outputs are
+// integers, so these hashes pin every count and first-detect index.
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::uint64_t result_hash(const FaultSimResult& r) {
+  Fnv1a h;
+  h.add(r.num_patterns);
+  h.add(r.detect_count.size());
+  for (const std::uint64_t c : r.detect_count) h.add(c);
+  h.add(r.first_detect.size());
+  for (const std::int64_t f : r.first_detect)
+    h.add(static_cast<std::uint64_t>(f));
+  return h.value();
+}
+
+// Any rewrite of the fault-effect walk must reproduce these bit for bit.
+// The pruned runs drop only proven-undetectable faults, whose zero results
+// are exact, so they hash to the plain runs' values.
+TEST(FaultSim, GoldenBitPatterns) {
+  struct Case {
+    const char* circuit;
+    std::uint64_t count_hash;
+    std::uint64_t first_hash;
+  };
+  const Case cases[] = {
+      {"alu", 17783217787462157475u, 367360569995066854u},
+      {"mult", 14695322259197536416u, 6329620820987916427u},
+      {"div", 13695613916779790895u, 8683000119056833217u},
+  };
+  for (const Case& c : cases) {
+    const Netlist net = make_circuit(c.circuit);
+    const std::vector<Fault> faults = structural_fault_list(net);
+    const PatternSet ps = PatternSet::random(net.inputs().size(), 512, 1985);
+    const FaultAnalysis fa = analyze_faults(net, faults);
+    for (const FaultSimMode mode :
+         {FaultSimMode::CountDetections, FaultSimMode::FirstDetection}) {
+      const bool count = mode == FaultSimMode::CountDetections;
+      const std::uint64_t want = count ? c.count_hash : c.first_hash;
+      const char* what = count ? " count" : " first";
+      EXPECT_EQ(result_hash(simulate_faults(net, faults, ps, mode)), want)
+          << c.circuit << what;
+      EXPECT_EQ(
+          result_hash(simulate_faults_pruned(net, faults, ps, mode, fa)), want)
+          << c.circuit << what << " pruned";
+    }
   }
 }
 

@@ -13,6 +13,11 @@
 //                log_objectives_neighborhood (screens) — the full
 //                hill-climb pipeline including observability + detection.
 //
+// It also records what the session cache keeps per evaluated tuple
+// (SessionStats::resident_bytes over resident_results after a default-
+// artifact analyze): the tuple, signal probabilities and conditioning
+// sets, not the observability and detection views the handles own.
+//
 // Self-check (exit 1 on failure): every exact perturb equals its
 // candidate's full evaluation bit for bit, and every screen equals a full
 // evaluation of its candidate under the base's conditioning sets.
@@ -29,6 +34,7 @@
 #include "circuits/zoo.hpp"
 #include "optimize/objective.hpp"
 #include "prob/engine.hpp"
+#include "protest/session.hpp"
 
 namespace protest {
 namespace {
@@ -125,6 +131,13 @@ void run_circuit(bench::BenchJson& json, const std::string& circuit,
   });
   const double gap = max_abs_diff(exact_vals, screen_vals);
 
+  // --- what the session cache keeps per tuple --------------------------
+  AnalysisSession session(net);
+  session.analyze(base);  // default artifacts; the handle drops its views
+  const SessionStats st = session.stats();
+  const double resident_per_result = static_cast<double>(st.resident_bytes) /
+                                     static_cast<double>(st.resident_results);
+
   const double screen_speedup = t_screen > 0.0 ? t_full / t_screen : 0.0;
   const double exact_speedup = t_exact > 0.0 ? t_full / t_exact : 0.0;
   const double obj_speedup =
@@ -147,6 +160,8 @@ void run_circuit(bench::BenchJson& json, const std::string& circuit,
   std::printf("max |exact - screening| objective gap: %.3g (the screening "
               "fidelity's cost)\n",
               gap);
+  std::printf("session cache keeps %.0f bytes per evaluated tuple\n",
+              resident_per_result);
   if (diff != 0.0) {
     std::printf("ERROR: incremental paths must reproduce their reference "
                 "bit for bit!\n");
@@ -164,6 +179,7 @@ void run_circuit(bench::BenchJson& json, const std::string& circuit,
   json.metric(circuit + ".objective.speedup", obj_speedup);
   json.metric(circuit + ".objective.max_gap", gap);
   json.metric(circuit + ".max_diff", diff);
+  json.metric(circuit + ".resident_bytes_per_result", resident_per_result);
 }
 
 }  // namespace

@@ -3,36 +3,34 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "netlist/compiled.hpp"
+
 namespace protest {
 namespace {
 
 double xor_comb(double t, double y) { return t + y - 2.0 * t * y; }
 
-}  // namespace
-
-double gate_transfer(const Netlist& net, NodeId gate, std::size_t pin,
-                     std::span<const double> node_probs, TransferModel model) {
-  const Gate& g = net.gate(gate);
-  if (pin >= g.fanin.size())
-    throw std::invalid_argument("gate_transfer: pin index out of range");
-
+/// The transfer of gate type `type` from pin `pin`, with the gate's pin
+/// probabilities in `ins` (left as found).
+double transfer(GateType type, std::span<double> ins, std::size_t pin,
+                TransferModel model) {
   if (model == TransferModel::BooleanDifference) {
     // Exact Boolean-difference probability for the standard gate library:
     // AND/NAND toggle iff all other pins are 1; OR/NOR iff all other 0;
     // XOR/XNOR/NOT/BUF always toggle.
-    switch (g.type) {
+    switch (type) {
       case GateType::And:
       case GateType::Nand: {
         double acc = 1.0;
-        for (std::size_t j = 0; j < g.fanin.size(); ++j)
-          if (j != pin) acc *= node_probs[g.fanin[j]];
+        for (std::size_t j = 0; j < ins.size(); ++j)
+          if (j != pin) acc *= ins[j];
         return acc;
       }
       case GateType::Or:
       case GateType::Nor: {
         double acc = 1.0;
-        for (std::size_t j = 0; j < g.fanin.size(); ++j)
-          if (j != pin) acc *= 1.0 - node_probs[g.fanin[j]];
+        for (std::size_t j = 0; j < ins.size(); ++j)
+          if (j != pin) acc *= 1.0 - ins[j];
         return acc;
       }
       case GateType::Buf:
@@ -47,14 +45,42 @@ double gate_transfer(const Netlist& net, NodeId gate, std::size_t pin,
 
   // Paper formula: evaluate the arithmetic form with the pin pinned to 0
   // and to 1, then combine with t (*) y = t + y - 2ty.
+  const double held = ins[pin];
+  ins[pin] = 0.0;
+  const double f0 = eval_gate_prob(type, ins);
+  ins[pin] = 1.0;
+  const double f1 = eval_gate_prob(type, ins);
+  ins[pin] = held;
+  return xor_comb(f0, f1);
+}
+
+/// Calls fold(s) for every branch of stem n in (consumer, pin) order:
+/// fanout(n) lists the consumers ascending, once per pin that reads n.
+template <class Fold>
+void fold_branches(const Netlist& net, const CompiledNetlist& cn,
+                   const PinObservability& pins, NodeId n, Fold fold) {
+  NodeId prev = kNoNode;
+  std::size_t k = 0;
+  for (const NodeId c : net.fanout(n)) {
+    const std::span<const NodeId> fanin = cn.fanin(c);
+    k = c == prev ? k + 1 : 0;
+    while (fanin[k] != n) ++k;
+    prev = c;
+    fold(pins[c][k]);
+  }
+}
+
+}  // namespace
+
+double gate_transfer(const Netlist& net, NodeId gate, std::size_t pin,
+                     std::span<const double> node_probs, TransferModel model) {
+  const Gate& g = net.gate(gate);
+  if (pin >= g.fanin.size())
+    throw std::invalid_argument("gate_transfer: pin index out of range");
   std::vector<double> ins(g.fanin.size());
   for (std::size_t j = 0; j < g.fanin.size(); ++j)
     ins[j] = node_probs[g.fanin[j]];
-  ins[pin] = 0.0;
-  const double f0 = eval_gate_prob(g.type, ins);
-  ins[pin] = 1.0;
-  const double f1 = eval_gate_prob(g.type, ins);
-  return xor_comb(f0, f1);
+  return transfer(g.type, ins, pin, model);
 }
 
 Observability compute_observability(const Netlist& net,
@@ -63,20 +89,13 @@ Observability compute_observability(const Netlist& net,
   if (node_probs.size() != net.size())
     throw std::invalid_argument("compute_observability: need one probability per node");
 
+  const CompiledNetlist& cn = net.compiled();
+  const std::span<const std::uint32_t> offset = cn.fanin_offsets();
   Observability obs;
   obs.stem.assign(net.size(), 0.0);
-  obs.pin.resize(net.size());
-  for (NodeId n = 0; n < net.size(); ++n)
-    obs.pin[n].assign(net.gate(n).fanin.size(), 0.0);
-
-  // (consumer, pin) pairs per stem; each branch appears exactly once even
-  // when one gate consumes the same net on several pins.
-  std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> consumers(net.size());
-  for (NodeId c = 0; c < net.size(); ++c) {
-    const auto& fanin = net.gate(c).fanin;
-    for (std::size_t k = 0; k < fanin.size(); ++k)
-      consumers[fanin[k]].push_back({c, static_cast<std::uint32_t>(k)});
-  }
+  obs.pin.offset.assign(offset.begin(), offset.end());
+  obs.pin.values.assign(offset.back(), 0.0);
+  std::vector<double> ins(cn.max_fanin());  // every gate's transfer buffer
 
   // Backward sweep: node ids are topologically ordered, so descending ids
   // visit every consumer before its producers.
@@ -87,20 +106,24 @@ Observability compute_observability(const Netlist& net,
     const bool po = net.is_output(n);
     if (opts.stem == StemModel::XorChain) {
       s = po ? 1.0 : 0.0;
-      for (const auto& [c, k] : consumers[n]) s = xor_comb(s, obs.pin[c][k]);
+      fold_branches(net, cn, obs.pin, n,
+                    [&](double branch) { s = xor_comb(s, branch); });
     } else {
       double miss = po ? 0.0 : 1.0;
-      for (const auto& [c, k] : consumers[n]) miss *= 1.0 - obs.pin[c][k];
+      fold_branches(net, cn, obs.pin, n,
+                    [&](double branch) { miss *= 1.0 - branch; });
       s = 1.0 - miss;
     }
     obs.stem[n] = std::clamp(s, 0.0, 1.0);
 
     // 2) Push through the gate to its input pins.
-    const Gate& g = net.gate(n);
-    for (std::size_t k = 0; k < g.fanin.size(); ++k)
-      obs.pin[n][k] = std::clamp(
-          obs.stem[n] * gate_transfer(net, n, k, node_probs, opts.transfer),
-          0.0, 1.0);
+    const std::span<const NodeId> fanin = cn.fanin(n);
+    const std::span<double> in(ins.data(), fanin.size());
+    for (std::size_t k = 0; k < fanin.size(); ++k) in[k] = node_probs[fanin[k]];
+    double* const pin = obs.pin.values.data() + offset[n];
+    for (std::size_t k = 0; k < fanin.size(); ++k)
+      pin[k] = std::clamp(
+          obs.stem[n] * transfer(cn.type(n), in, k, opts.transfer), 0.0, 1.0);
   }
   return obs;
 }

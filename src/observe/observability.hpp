@@ -16,6 +16,7 @@
 // Boolean difference is available as an alternative transfer model.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -44,12 +45,24 @@ struct ObservabilityOptions {
   TransferModel transfer = TransferModel::PaperArithmetic;
 };
 
+/// Per-pin observabilities in one flat array indexed like
+/// CompiledNetlist::fanin_offsets(): pin[n] is a span over gate n's input
+/// pins (empty for inputs/constants), so pin[n][k] reads pin k of gate n.
+struct PinObservability {
+  std::vector<std::uint32_t> offset;  ///< [nodes + 1]
+  std::vector<double> values;         ///< every gate's pins, in node order
+
+  std::span<const double> operator[](NodeId n) const {
+    return {values.data() + offset[n], offset[n + 1] - offset[n]};
+  }
+};
+
 /// Observability of every output stem and every gate input pin.
 struct Observability {
   /// s of node n's output stem.
   std::vector<double> stem;
-  /// s of gate n's input pin k: pin[n][k] (empty for inputs/constants).
-  std::vector<std::vector<double>> pin;
+  /// s of gate n's input pin k: pin[n][k].
+  PinObservability pin;
 };
 
 /// node_probs must hold one signal probability per node (any engine).

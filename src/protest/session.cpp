@@ -1,6 +1,7 @@
 #include "protest/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <list>
 #include <optional>
 #include <stdexcept>
@@ -8,6 +9,7 @@
 
 #include "analysis/json.hpp"
 #include "observe/detect.hpp"
+#include "prob/protest_estimator.hpp"
 #include "sim/pattern.hpp"
 #include "testlen/test_length.hpp"
 #include "util/cancel.hpp"
@@ -46,6 +48,7 @@ void SessionStats::write(JsonWriter& w) const {
   w.key("screen_evals").value(screen_evals);
   w.key("full_evals").value(full_evals);
   w.key("resident_results").value(resident_results);
+  w.key("resident_bytes").value(resident_bytes);
   w.key("lint").begin_object();
   w.key("runs").value(lint_runs);
   w.key("errors").value(lint_errors);
@@ -151,28 +154,46 @@ struct AnalysisResult::State {
   /// false for perturb_screen() products (screening numbers); screened
   /// results never enter the cache and cannot seed perturbs.
   bool exact_fidelity = true;
-  /// Guards the lazy artifacts: results are shared across copies (and the
+  /// The views block of the live handles of this tuple, if any.  Read and
+  /// written under the session mutex (attach_views).
+  std::weak_ptr<Views> views;
+  /// Guards the memos below: results are shared across copies (and the
   /// session cache), so concurrent accessors memoize exactly once.
   /// Lock order: fault_bounds() holds mu through the fault-context
   /// call_once and then the executor's job lock while its sweep fans out;
-  /// no other lock is taken under mu.  That cannot deadlock: the context
+  /// no other lock is taken under mu, and mu is never taken under
+  /// Views::mu or the session mutex.  That cannot deadlock: the context
   /// build takes no lock, and no executor task takes the session mutex or
   /// the mu of a result another thread can reach — a screening task locks
   /// only the fresh result it is building, and its nested fault sweep
   /// runs inline under the executor's reentrancy guard.
   std::mutex mu;
-  // Memoized lazy artifacts (read/written under mu).
-  std::optional<Observability> observability;
-  std::optional<std::vector<double>> detection_probs;
+  // Memos that cost a simulation or a sweep to rebuild (under mu).
   std::optional<StafanMeasures> stafan;
   std::optional<FaultAnalysis> fault_bounds;
+  /// Element bytes of the memos above, added as each is set, so stats()
+  /// reads them without waiting for mu.
+  std::atomic<std::size_t> memo_bytes{0};
+};
+
+/// The observability and detection probabilities of one tuple: one linear
+/// backward pass from the evaluation, so the handles own them and the
+/// cache does not.  Its own mutex, so reading a view never waits behind a
+/// fault-bounds sweep holding State::mu; no other lock is taken under it.
+struct AnalysisResult::Views {
+  std::mutex mu;
+  std::optional<Observability> observability;
+  std::optional<std::vector<double>> detection_probs;
 };
 
 // --- AnalysisResult ---------------------------------------------------------
 
 AnalysisResult::AnalysisResult(std::shared_ptr<State> state,
+                               std::shared_ptr<Views> views,
                                AnalysisRequest request)
-    : state_(std::move(state)), request_(std::move(request)) {}
+    : state_(std::move(state)),
+      views_(std::move(views)),
+      request_(std::move(request)) {}
 
 namespace {
 
@@ -184,14 +205,59 @@ AnalysisResult::State& checked(
   return *state;
 }
 
-/// Lazy-init helper for the accessors below; the caller holds s.mu.  Once
-/// materialized, the optionals are never reset, so references handed out
-/// stay valid after the lock is released.
-const Observability& ensure_observability(AnalysisResult::State& s) {
-  if (!s.observability)
-    s.observability = compute_observability(s.shared->net, s.eval.probs,
+/// Lazy-init helper for the view accessors below; the caller holds v.mu.
+/// Once materialized, the optionals are never reset, so references handed
+/// out stay valid after the lock is released.
+const Observability& ensure_observability(const AnalysisResult::State& s,
+                                          AnalysisResult::Views& v) {
+  if (!v.observability)
+    v.observability = compute_observability(s.shared->net, s.eval.probs,
                                             s.shared->opts.observability);
-  return *s.observability;
+  return *v.observability;
+}
+
+std::size_t element_bytes(const std::vector<double>& v) {
+  return v.size() * sizeof(double);
+}
+
+std::size_t element_bytes(const std::vector<std::vector<double>>& vs) {
+  std::size_t bytes = 0;
+  for (const std::vector<double>& v : vs) bytes += element_bytes(v);
+  return bytes;
+}
+
+std::size_t element_bytes(const Selection& sel) {
+  return sel.gates() * (1 + sel.width()) * sizeof(std::uint32_t);
+}
+
+std::size_t element_bytes(const StafanMeasures& m) {
+  return element_bytes(m.c1) + element_bytes(m.pin_sens) +
+         element_bytes(m.obs) + element_bytes(m.pin_obs);
+}
+
+std::size_t element_bytes(const FaultAnalysis& fa) {
+  return fa.bounds.size() * sizeof(FaultBound);
+}
+
+/// What the cache keeps of one state: the tuple, the evaluation and the
+/// memos set so far.  Reads only fields fixed before the state was cached
+/// and the atomic memo count, so no lock is needed.
+std::size_t cached_bytes(const AnalysisResult::State& s) {
+  return element_bytes(s.input_probs) + element_bytes(s.eval.probs) +
+         (s.eval.selection ? element_bytes(*s.eval.selection) : 0) +
+         s.memo_bytes.load(std::memory_order_relaxed);
+}
+
+/// The views of the live handles of a cached `state`, or a new empty block
+/// that later hits re-attach to.  Caller holds the session mutex.
+std::shared_ptr<AnalysisResult::Views> attach_views(
+    AnalysisResult::State& state) {
+  std::shared_ptr<AnalysisResult::Views> views = state.views.lock();
+  if (!views) {
+    views = std::make_shared<AnalysisResult::Views>();
+    state.views = views;
+  }
+  return views;
 }
 
 }  // namespace
@@ -217,19 +283,20 @@ const std::vector<double>& AnalysisResult::signal_probs() const {
 }
 
 const Observability& AnalysisResult::observability() const {
-  State& s = checked(state_);
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return ensure_observability(s);
+  const State& s = checked(state_);
+  const std::lock_guard<std::mutex> lock(views_->mu);
+  return ensure_observability(s, *views_);
 }
 
 const std::vector<double>& AnalysisResult::detection_probs() const {
-  State& s = checked(state_);
-  const std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.detection_probs)
-    s.detection_probs =
+  const State& s = checked(state_);
+  Views& v = *views_;
+  const std::lock_guard<std::mutex> lock(v.mu);
+  if (!v.detection_probs)
+    v.detection_probs =
         protest::detection_probs(s.shared->net, s.shared->faults,
-                                 s.eval.probs, ensure_observability(s));
-  return *s.detection_probs;
+                                 s.eval.probs, ensure_observability(s, v));
+  return *v.detection_probs;
 }
 
 const ScoapMeasures& AnalysisResult::scoap() const {
@@ -242,11 +309,13 @@ const ScoapMeasures& AnalysisResult::scoap() const {
 const StafanMeasures& AnalysisResult::stafan() const {
   State& s = checked(state_);
   const std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.stafan)
+  if (!s.stafan) {
     s.stafan = compute_stafan(
         s.shared->net,
         PatternSet::weighted(s.input_probs, s.shared->opts.stafan_patterns,
                              s.shared->opts.stafan_seed));
+    s.memo_bytes += element_bytes(*s.stafan);
+  }
   return *s.stafan;
 }
 
@@ -263,6 +332,7 @@ const FaultAnalysis& AnalysisResult::fault_bounds() const {
     // A cancelled sweep throws out of here, leaving nothing memoized.
     s.fault_bounds =
         analyze_faults(*sh.fault_ctx, sh.faults, fo, sh.exec.get());
+    s.memo_bytes += element_bytes(*s.fault_bounds);
   }
   return *s.fault_bounds;
 }
@@ -296,14 +366,18 @@ std::string AnalysisResult::to_json(int indent) const {
   }
   w.end_array();
 
+  // Each artifact is read once, outside the loops that serialize it.
+  const Observability* obs =
+      request_.observability ? &observability() : nullptr;
+  const FaultAnalysis* fa = request_.fault_bounds ? &fault_bounds() : nullptr;
+
   w.key("signal_probs").begin_array();
   for (NodeId n = 0; n < net.size(); ++n) {
     if (net.is_input(n)) continue;
     w.begin_object();
     w.key("node").value(net.name_of(n));
     w.key("p1").value(s.eval.probs[n]);
-    if (request_.observability)
-      w.key("observability").value(observability().stem[n]);
+    if (obs) w.key("observability").value(obs->stem[n]);
     w.end_object();
   }
   w.end_array();
@@ -313,10 +387,10 @@ std::string AnalysisResult::to_json(int indent) const {
     w.key("detection_probs").begin_array();
     for (std::size_t f = 0; f < s.shared->faults.size(); ++f) {
       double v = pf[f];
-      if (request_.fault_bounds) {
+      if (fa) {
         // The estimator is a heuristic, the static interval a guarantee:
         // where they disagree, the interval wins.
-        const FaultBound& b = fault_bounds().bounds[f];
+        const FaultBound& b = fa->bounds[f];
         v = b.verdict == FaultClass::ProvenUndetectable
                 ? 0.0
                 : std::clamp(v, b.lo, b.hi);
@@ -329,24 +403,23 @@ std::string AnalysisResult::to_json(int indent) const {
     w.end_array();
   }
 
-  if (request_.fault_bounds) {
-    const FaultAnalysis& fa = fault_bounds();
+  if (fa) {
     w.key("fault_bounds").begin_object();
     w.key("summary").begin_object();
-    w.key("faults").value(fa.bounds.size());
-    w.key("proven_undetectable").value(fa.undetectable);
-    w.key("unexcitable").value(fa.unexcitable);
-    w.key("unobservable").value(fa.unobservable);
-    w.key("proven_detectable").value(fa.detectable);
-    w.key("uncertain").value(fa.uncertain);
-    w.key("truncated_sweeps").value(fa.truncated_sweeps);
-    w.key("frechet_widened").value(fa.frechet_widened);
-    w.key("learned_constants").value(fa.learned_constants);
-    w.key("settled_fraction").value(fa.settled_fraction());
+    w.key("faults").value(fa->bounds.size());
+    w.key("proven_undetectable").value(fa->undetectable);
+    w.key("unexcitable").value(fa->unexcitable);
+    w.key("unobservable").value(fa->unobservable);
+    w.key("proven_detectable").value(fa->detectable);
+    w.key("uncertain").value(fa->uncertain);
+    w.key("truncated_sweeps").value(fa->truncated_sweeps);
+    w.key("frechet_widened").value(fa->frechet_widened);
+    w.key("learned_constants").value(fa->learned_constants);
+    w.key("settled_fraction").value(fa->settled_fraction());
     w.end_object();
     w.key("faults").begin_array();
-    for (std::size_t f = 0; f < fa.bounds.size(); ++f) {
-      const FaultBound& b = fa.bounds[f];
+    for (std::size_t f = 0; f < fa->bounds.size(); ++f) {
+      const FaultBound& b = fa->bounds[f];
       w.begin_object();
       w.key("fault").value(to_string(net, s.shared->faults[f]));
       w.key("lo").value(b.lo);
@@ -362,13 +435,14 @@ std::string AnalysisResult::to_json(int indent) const {
   }
 
   if (request_.test_lengths) {
+    const std::vector<double>& pf = detection_probs();
     w.key("test_lengths").begin_array();
     for (double d : request_.d_grid)
       for (double e : request_.e_grid) {
         w.begin_object();
         w.key("d").value(d);
         w.key("e").value(e);
-        const std::uint64_t n = test_length(d, e);
+        const std::uint64_t n = required_test_length(pf, d, e);
         if (n == kInfiniteTestLength)
           w.key("n").null();
         else
@@ -415,49 +489,50 @@ std::string AnalysisResult::to_json(int indent) const {
 
 /// LRU over evaluated tuples.  Entries share their State with every
 /// AnalysisResult handed out, so eviction only drops the cache's
-/// reference — outstanding results stay valid.
+/// reference — outstanding results stay valid.  The index keys view each
+/// state's own tuple, so the cache stores every tuple once.
 class AnalysisSession::ResultCache {
  public:
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
-  std::shared_ptr<AnalysisResult::State> find(
-      const std::vector<double>& key) {
+  std::shared_ptr<AnalysisResult::State> find(std::span<const double> key) {
     const auto it = index_.find(key);
     if (it == index_.end()) return nullptr;
     entries_.splice(entries_.begin(), entries_, it->second);
-    return entries_.front().state;
+    return entries_.front();
   }
 
   /// Most-recently-used cached tuple differing from `key` in exactly one
   /// coordinate; returns the state and the differing index.
   std::pair<std::shared_ptr<AnalysisResult::State>, std::size_t> find_near(
       std::span<const double> key) const {
-    for (const Entry& e : entries_) {
-      if (e.key.size() != key.size()) continue;
+    for (const auto& state : entries_) {
+      const std::vector<double>& probs = state->input_probs;
+      if (probs.size() != key.size()) continue;
       std::size_t diffs = 0, idx = 0;
       for (std::size_t i = 0; i < key.size() && diffs <= 1; ++i) {
-        if (e.key[i] != key[i]) {
+        if (probs[i] != key[i]) {
           ++diffs;
           idx = i;
         }
       }
-      if (diffs == 1) return {e.state, idx};
+      if (diffs == 1) return {state, idx};
     }
     return {nullptr, 0};
   }
 
-  void insert(std::vector<double> key,
-              std::shared_ptr<AnalysisResult::State> state) {
+  /// Caches `state` under its tuple, replacing any entry for that tuple.
+  void insert(std::shared_ptr<AnalysisResult::State> state) {
     if (capacity_ == 0) return;
-    if (const auto it = index_.find(key); it != index_.end()) {
-      it->second->state = std::move(state);
-      entries_.splice(entries_.begin(), entries_, it->second);
-      return;
+    if (const auto it = index_.find(state->input_probs); it != index_.end()) {
+      // The old key views the replaced state's tuple: drop both.
+      entries_.erase(it->second);
+      index_.erase(it);
     }
-    entries_.push_front(Entry{std::move(key), std::move(state)});
-    index_.emplace(entries_.front().key, entries_.begin());
+    entries_.push_front(std::move(state));
+    index_.emplace(entries_.front()->input_probs, entries_.begin());
     if (entries_.size() > capacity_) {
-      index_.erase(entries_.back().key);
+      index_.erase(entries_.back()->input_probs);
       entries_.pop_back();
     }
   }
@@ -469,14 +544,18 @@ class AnalysisSession::ResultCache {
 
   std::size_t size() const { return entries_.size(); }
 
- private:
-  struct Entry {
-    std::vector<double> key;
-    std::shared_ptr<AnalysisResult::State> state;
-  };
+  std::size_t resident_bytes() const {
+    std::size_t bytes = 0;
+    for (const auto& state : entries_) bytes += cached_bytes(*state);
+    return bytes;
+  }
 
-  struct VecHash {
-    std::size_t operator()(const std::vector<double>& v) const {
+ private:
+  using Key = std::span<const double>;
+  using Entries = std::list<std::shared_ptr<AnalysisResult::State>>;
+
+  struct KeyHash {
+    std::size_t operator()(Key v) const {
       std::size_t h = v.size();
       for (double x : v)
         h = h * 1099511628211ull + std::hash<double>{}(x);
@@ -484,10 +563,13 @@ class AnalysisSession::ResultCache {
     }
   };
 
+  struct KeyEq {
+    bool operator()(Key a, Key b) const { return std::ranges::equal(a, b); }
+  };
+
   std::size_t capacity_;
-  std::list<Entry> entries_;  ///< front = most recent
-  std::unordered_map<std::vector<double>, std::list<Entry>::iterator, VecHash>
-      index_;
+  Entries entries_;  ///< front = most recent
+  std::unordered_map<Key, Entries::iterator, KeyHash, KeyEq> index_;
 };
 
 // --- AnalysisSession --------------------------------------------------------
@@ -530,6 +612,7 @@ SessionStats AnalysisSession::stats() const {
   const std::lock_guard<std::mutex> lock(*mu_);
   SessionStats s = stats_;
   s.resident_results = cache_->size();
+  s.resident_bytes = cache_->resident_bytes();
   return s;
 }
 
@@ -549,15 +632,20 @@ void AnalysisSession::clear_cache() {
 
 AnalysisResult AnalysisSession::wrap(
     std::shared_ptr<AnalysisResult::State> state,
-    const AnalysisRequest& request) {
-  AnalysisResult result(std::move(state), request);
+    std::shared_ptr<AnalysisResult::Views> views,
+    const AnalysisRequest& request, bool fresh) {
+  AnalysisResult result(std::move(state), std::move(views), request);
   // Materialize the requested artifacts now; anything else stays lazy.
   // The test-length grid is derived per (d, e) on demand, but its input —
   // the detection probabilities — is the expensive part and belongs to
-  // query time, not serialization time.
-  if (request.observability) result.observability();
-  if (request.detection_probs || request.test_lengths)
-    result.detection_probs();
+  // query time, not serialization time.  A cache hit builds no view: the
+  // views of a live handle come attached, and otherwise the first read
+  // rebuilds them, so a hit that only seeds a perturb never pays for them.
+  if (fresh) {
+    if (request.observability) result.observability();
+    if (request.detection_probs || request.test_lengths)
+      result.detection_probs();
+  }
   if (request.scoap) result.scoap();
   if (request.stafan) result.stafan();
   if (request.fault_bounds) result.fault_bounds();
@@ -568,9 +656,9 @@ std::shared_ptr<AnalysisResult::State> AnalysisSession::insert(
     std::vector<double> key, Evaluation eval) {
   auto state = std::make_shared<AnalysisResult::State>();
   state->shared = shared_;
-  state->input_probs = key;
+  state->input_probs = std::move(key);
   state->eval = std::move(eval);
-  cache_->insert(std::move(key), state);
+  cache_->insert(state);
   return state;
 }
 
@@ -578,18 +666,22 @@ AnalysisResult AnalysisSession::analyze(std::span<const double> input_probs,
                                         AnalysisRequest request) {
   validate_input_probs(shared_->net, input_probs);
   std::shared_ptr<AnalysisResult::State> state;
+  std::shared_ptr<AnalysisResult::Views> views;
+  bool hit = false;
   {
     // Lookup, evaluate and insert form one step, so a tuple is evaluated
     // once however many callers ask for it; artifact materialization
     // (wrap) happens outside the session lock.
     const std::lock_guard<std::mutex> lock(*mu_);
     ++stats_.analyze_calls;
-    std::vector<double> key(input_probs.begin(), input_probs.end());
     const SignalProbEngine& engine = *shared_->engine;
 
-    if ((state = cache_->find(key))) {
+    state = cache_->find(input_probs);
+    hit = state != nullptr;
+    if (hit) {
       ++stats_.cache_hits;
     } else {
+      std::vector<double> key(input_probs.begin(), input_probs.end());
       Evaluation eval;
       if (engine.incremental()) {
         // A cached tuple one coordinate away feeds the incremental path,
@@ -605,8 +697,9 @@ AnalysisResult AnalysisSession::analyze(std::span<const double> input_probs,
       }
       state = insert(std::move(key), std::move(eval));
     }
+    views = attach_views(*state);
   }
-  return wrap(std::move(state), request);
+  return wrap(std::move(state), std::move(views), request, !hit);
 }
 
 std::vector<AnalysisResult> AnalysisSession::analyze_batch(
@@ -641,11 +734,15 @@ AnalysisResult AnalysisSession::perturb(const AnalysisResult& base,
                                         double new_p) {
   check_perturb_args(base, input_index, new_p);
   std::shared_ptr<AnalysisResult::State> state;
+  std::shared_ptr<AnalysisResult::Views> views;
+  bool hit = false;
   {
     const std::lock_guard<std::mutex> lock(*mu_);
     std::vector<double> key = base.state_->input_probs;
     key[input_index] = new_p;
-    if ((state = cache_->find(key))) {
+    state = cache_->find(key);
+    hit = state != nullptr;
+    if (hit) {
       ++stats_.cache_hits;
     } else {
       const SignalProbEngine& engine = *shared_->engine;
@@ -657,8 +754,9 @@ AnalysisResult AnalysisSession::perturb(const AnalysisResult& base,
         ++stats_.full_evals;
       state = insert(std::move(key), std::move(eval));
     }
+    views = attach_views(*state);
   }
-  return wrap(std::move(state), base.request_);
+  return wrap(std::move(state), std::move(views), base.request_, !hit);
 }
 
 AnalysisResult AnalysisSession::screen_one(const AnalysisResult& base,
@@ -674,7 +772,8 @@ AnalysisResult AnalysisSession::screen_one(const AnalysisResult& base,
   state->eval.probs = shared_->engine->screen(
       base.state_->input_probs, base.state_->eval, input_index, new_p);
   state->exact_fidelity = false;
-  return wrap(std::move(state), base.request_);
+  return wrap(std::move(state), std::make_shared<AnalysisResult::Views>(),
+              base.request_, true);
 }
 
 AnalysisResult AnalysisSession::perturb_screen(const AnalysisResult& base,

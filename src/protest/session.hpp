@@ -8,7 +8,10 @@
 // receive an AnalysisResult whose artifacts are computed lazily and
 // memoized — asking only for signal probabilities never pays for
 // observability, detection probabilities, SCOAP/STAFAN measures or the
-// test-length grid.
+// test-length grid.  The cache keeps what costs an evaluation, a sweep or
+// a simulation to rebuild (the Evaluation, fault bounds, STAFAN); the
+// observability and detection-probability views, one linear backward pass
+// away, belong to the result handles.
 //
 //   AnalysisSession session(net);
 //   AnalysisRequest req;
@@ -18,23 +21,24 @@
 //   std::string json = r.to_json();                // machine-readable result
 //
 // Repeated tuples are cache hits (the same shared result state comes
-// back); near-duplicate tuples — differing from a cached tuple in exactly
-// one coordinate — are routed through the engine's incremental path, which
-// re-evaluates only the changed input's fanout cone.  perturb() exposes
-// that path explicitly and is the backend for the hill climber's
-// per-coordinate neighborhood sweeps.  Incremental results are bit-for-bit
-// identical to from-scratch evaluation (see SignalProbEngine::perturb), so
-// the cache never mixes approximation levels.  Each result keeps the
-// engine's Evaluation, conditioning sets included, so a screen of any
-// cached tuple conditions on that tuple's sets without re-selecting.
+// back, with the views of any live handle of it); near-duplicate tuples —
+// differing from a cached tuple in exactly one coordinate — are routed
+// through the engine's incremental path, which re-evaluates only the
+// changed input's fanout cone.  perturb() exposes that path explicitly and
+// is the backend for the hill climber's per-coordinate neighborhood
+// sweeps.  Incremental results are bit-for-bit identical to from-scratch
+// evaluation (see SignalProbEngine::perturb), so the cache never mixes
+// approximation levels.  Each result keeps the engine's Evaluation,
+// conditioning sets included, so a screen of any cached tuple conditions
+// on that tuple's sets without re-selecting.
 //
 // Thread safety: a session is safe for CONCURRENT callers.  Engines are
 // safe for concurrent calls, so the session's mutex guards only its cache
 // and counters: analyze() and perturb() look up, evaluate and insert
 // under it, while screens and sweeps evaluate outside it.  Lazy artifact
 // materialization on shared AnalysisResults is guarded per result — two
-// threads asking the same result for detection probabilities compute
-// them once.  Throughput inside a query comes from the Monte-Carlo
+// threads asking live handles of one tuple for detection probabilities
+// compute them once.  Throughput inside a query comes from the Monte-Carlo
 // engine, which shards its patterns across threads, from
 // perturb_screen_sweep(), which fans a neighborhood across the session's
 // executor, and from the fault_bounds artifact, which fans its fault list
@@ -92,10 +96,12 @@ struct SessionOptions {
 };
 
 /// Selects the artifacts a query wants.  Requested artifacts are
-/// materialized before analyze() returns and included in to_json() /
-/// write_report(); everything else remains available lazily through the
-/// result's accessors.  Signal probabilities are always computed — they
-/// are the base every other artifact derives from.
+/// materialized before analyze() returns (except on a cache hit, which
+/// leaves observability and detection probabilities to their first read)
+/// and included in to_json() / write_report(); everything else remains
+/// available lazily through the result's accessors.  Signal probabilities
+/// are always computed — they are the base every other artifact derives
+/// from.
 struct AnalysisRequest {
   bool observability = true;
   bool detection_probs = true;
@@ -156,6 +162,11 @@ struct SessionStats {
   /// cumulative): together with full/incremental counts this is the
   /// resident plan state a service 'stats' query reports.
   std::size_t resident_results = 0;
+  /// Element bytes those cached tuples keep (snapshot): the tuples, signal
+  /// probabilities, conditioning sets, and the fault bounds and STAFAN
+  /// measures memoized so far.  Observability and detection probabilities
+  /// are never counted: they live with the result handles, not the cache.
+  std::size_t resident_bytes = 0;
   /// Static-analysis summary (src/lint): how many lint runs this session
   /// has recorded and the LAST report's severity totals — the service's
   /// `lint` verb and `load_netlist` strict mode both record here.
@@ -173,13 +184,21 @@ struct SessionStats {
   std::string to_json(int indent = 2) const;
 };
 
-/// Handle to one analyzed input tuple.  Cheap to copy (shared state);
-/// artifacts are memoized in the shared state, so computing one through
-/// any copy benefits every other holder, including the session cache.
+/// Handle to one analyzed input tuple.  Cheap to copy (shared state).
+/// Fault bounds and STAFAN are memoized in the tuple's shared state, so
+/// computing them through any handle benefits every later one, including
+/// the session cache's.  Observability and detection probabilities are
+/// memoized in a views block the handles own: copies share it, a cache
+/// hit re-attaches to it while any handle of the tuple still holds it,
+/// and otherwise the hit rebuilds the views bit-identically on first read.
+/// So the cache never keeps views alive.  References returned by the
+/// accessors stay valid while this handle or a copy of it lives.
 class AnalysisResult {
  public:
-  /// Shared memoization record (opaque; defined in session.cpp).
+  /// Shared memoization record held by the cache (opaque; session.cpp).
   struct State;
+  /// Handle-owned observability and detection memos (opaque; session.cpp).
+  struct Views;
 
   AnalysisResult() = default;  ///< empty handle; accessors throw
 
@@ -191,8 +210,8 @@ class AnalysisResult {
 
   const std::vector<double>& input_probs() const;
   const std::vector<double>& signal_probs() const;
-  const Observability& observability() const;         ///< lazy, memoized
-  const std::vector<double>& detection_probs() const; ///< lazy, memoized
+  const Observability& observability() const;         ///< lazy, handle-owned
+  const std::vector<double>& detection_probs() const; ///< lazy, handle-owned
   const ScoapMeasures& scoap() const;                 ///< lazy, session-shared
   const StafanMeasures& stafan() const;               ///< lazy, memoized
 
@@ -217,9 +236,11 @@ class AnalysisResult {
 
  private:
   friend class AnalysisSession;
-  AnalysisResult(std::shared_ptr<State> state, AnalysisRequest request);
+  AnalysisResult(std::shared_ptr<State> state, std::shared_ptr<Views> views,
+                 AnalysisRequest request);
 
   std::shared_ptr<State> state_;
+  std::shared_ptr<Views> views_;
   AnalysisRequest request_;
 };
 
@@ -306,8 +327,12 @@ class AnalysisSession {
  private:
   class ResultCache;
 
+  /// A handle on `state` and `views` with the request's artifacts
+  /// materialized.  `fresh` states (just evaluated) also build the
+  /// requested views; a cache hit leaves them to their first read.
   AnalysisResult wrap(std::shared_ptr<AnalysisResult::State> state,
-                      const AnalysisRequest& request);
+                      std::shared_ptr<AnalysisResult::Views> views,
+                      const AnalysisRequest& request, bool fresh);
   /// One screen: evaluate, build the screening-fidelity state,
   /// materialize the base request's artifacts.  The single body behind
   /// perturb_screen and both perturb_screen_sweep branches.

@@ -2,6 +2,8 @@
 // single-path option (sect. 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuits/iscas.hpp"
 #include "circuits/random_circuit.hpp"
 #include "netlist/builder.hpp"
@@ -67,6 +69,93 @@ TEST(Observability, PaperXorTransferUnderestimates) {
       gate_transfer(net, y, 0, p, TransferModel::PaperArithmetic), 0.5);
   EXPECT_DOUBLE_EQ(
       gate_transfer(net, y, 0, p, TransferModel::BooleanDifference), 1.0);
+}
+
+/// compute_observability written the direct way: a consumer list per node
+/// built from the Gate fanins, a vector per gate's pins, and gate_transfer
+/// per pin.  The flat kernel must match it bit for bit.
+Observability reference_observability(const Netlist& net,
+                                      std::span<const double> p,
+                                      ObservabilityOptions opts) {
+  std::vector<double> stem(net.size(), 0.0);
+  std::vector<std::vector<double>> pin(net.size());
+  std::vector<std::vector<std::pair<NodeId, std::size_t>>> consumers(
+      net.size());
+  for (NodeId c = 0; c < net.size(); ++c) {
+    pin[c].assign(net.gate(c).fanin.size(), 0.0);
+    for (std::size_t k = 0; k < net.gate(c).fanin.size(); ++k)
+      consumers[net.gate(c).fanin[k]].push_back({c, k});
+  }
+  for (NodeId n = net.size(); n-- > 0;) {
+    double s;
+    if (opts.stem == StemModel::XorChain) {
+      s = net.is_output(n) ? 1.0 : 0.0;
+      for (const auto& [c, k] : consumers[n])
+        s = s + pin[c][k] - 2.0 * s * pin[c][k];
+    } else {
+      double miss = net.is_output(n) ? 0.0 : 1.0;
+      for (const auto& [c, k] : consumers[n]) miss *= 1.0 - pin[c][k];
+      s = 1.0 - miss;
+    }
+    stem[n] = std::clamp(s, 0.0, 1.0);
+    for (std::size_t k = 0; k < pin[n].size(); ++k)
+      pin[n][k] = std::clamp(
+          stem[n] * gate_transfer(net, n, k, p, opts.transfer), 0.0, 1.0);
+  }
+  Observability obs;
+  obs.stem = std::move(stem);
+  obs.pin.offset.push_back(0);
+  for (const auto& v : pin) {
+    obs.pin.values.insert(obs.pin.values.end(), v.begin(), v.end());
+    obs.pin.offset.push_back(static_cast<std::uint32_t>(obs.pin.values.size()));
+  }
+  return obs;
+}
+
+TEST(Observability, FlatPinsMatchPerPinReference) {
+  std::vector<Netlist> nets;
+  {
+    // One gate reading the same net on two pins, beside other consumers:
+    // its two branches fold in pin order between its neighbours'.
+    NetlistBuilder bld;
+    const NodeId a = bld.input("a");
+    const NodeId b = bld.input("b");
+    const NodeId x = bld.and2(a, b);
+    const NodeId y = bld.gate(GateType::Nand, {x, b, x});
+    const NodeId z = bld.gate(GateType::Xor, {x, y, a});
+    bld.output(y);
+    bld.output(z);
+    nets.push_back(bld.build());
+  }
+  nets.push_back(make_c17());
+  for (std::uint64_t seed : {3u, 4u, 5u}) {
+    RandomCircuitParams params;
+    params.num_inputs = 10;
+    params.num_gates = 120;
+    params.max_fanin = 4;
+    params.fanout_skew = 0.3;
+    params.seed = seed;
+    nets.push_back(make_random_circuit(params));
+  }
+  for (const Netlist& net : nets) {
+    std::vector<double> ip(net.inputs().size());
+    for (std::size_t i = 0; i < ip.size(); ++i)
+      ip[i] = 0.1 + 0.07 * static_cast<double>(i);
+    for (double& v : ip) v = std::min(v, 0.95);
+    const auto p = naive_signal_probs(net, ip);
+    for (const StemModel stem : {StemModel::XorChain, StemModel::OrChain})
+      for (const TransferModel tr :
+           {TransferModel::PaperArithmetic, TransferModel::BooleanDifference}) {
+        const ObservabilityOptions opts{stem, tr};
+        const Observability got = compute_observability(net, p, opts);
+        const Observability want = reference_observability(net, p, opts);
+        EXPECT_EQ(got.stem, want.stem);
+        EXPECT_EQ(got.pin.offset, want.pin.offset);
+        EXPECT_EQ(got.pin.values, want.pin.values);
+        for (NodeId n = 0; n < net.size(); ++n)
+          ASSERT_EQ(got.pin[n].size(), net.gate(n).fanin.size());
+      }
+  }
 }
 
 TEST(Observability, StemModelsDifferOnReconvergence) {

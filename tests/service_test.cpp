@@ -610,6 +610,72 @@ TEST(ServiceFaultBounds, ResponseLinesArePinned) {
   }
 }
 
+// The served analyze and perturb lines, pinned byte for byte like the
+// fault_bounds line above (recorded before cached results stopped keeping
+// their observability and detection views).  One conversation per circuit:
+// a fresh analyze, a cache hit asking for fault bounds and test lengths, an
+// exact and a screen perturb of the cached tuple, and the first analyze
+// again once no handle of it is left, which must rebuild the same bytes.
+// A second service asks for fault bounds and test lengths on a miss.
+TEST(ServiceAnalyze, ResponseLinesArePinned) {
+  constexpr const char* kAnalyze =
+      R"({"verb":"analyze","id":2,"netlist":"n","p":0.5})";
+  constexpr const char* kBoundsLengths =
+      R"({"verb":"analyze","id":3,"netlist":"n","p":0.5,)"
+      R"("artifacts":["fault_bounds","test_lengths"]})";
+  constexpr const char* kPerturb =
+      R"({"verb":"perturb","id":4,"netlist":"n","p":0.5,)"
+      R"("input_index":3,"new_p":0.25})";
+  constexpr const char* kScreen =
+      R"({"verb":"perturb","id":5,"netlist":"n","p":0.5,)"
+      R"("input_index":5,"new_p":0.875,"screen":true})";
+  struct Line {
+    std::size_t bytes;
+    std::uint64_t hash;
+  };
+  struct Pin {
+    const char* circuit;
+    Line analyze, bounds_lengths, perturb, screen;
+  };
+  const Pin pins[] = {
+      {"alu",
+       {35'424, 0x89109e4958314eb8ull},
+       {36'762, 0xb41a0b1b7d2f8e54ull},
+       {35'414, 0x39493ff3e3213049ull},
+       {35'452, 0x4a7c92e349d45f43ull}},
+      {"div",
+       {718'217, 0xd9178acda508d5c6ull},
+       {708'640, 0xba38bc5c6289184dull},
+       {718'421, 0x21909433271f5fddull},
+       {718'556, 0x784411aadf315023ull}}};
+  auto expect_pinned = [](const std::string& line, const Line& pin,
+                          const std::string& what) {
+    EXPECT_EQ(line.size(), pin.bytes) << what;
+    EXPECT_EQ(fnv1a64(line), pin.hash) << what;
+  };
+  for (const Pin& p : pins) {
+    const std::string c = p.circuit;
+    ProtestService service;
+    ASSERT_TRUE(ServiceResponse::from_json(
+                    service.handle_line(load_line_for(p.circuit)))
+                    .ok);
+    const std::string analyze = service.handle_line(kAnalyze);
+    expect_pinned(analyze, p.analyze, c + " analyze");
+    expect_pinned(service.handle_line(kBoundsLengths), p.bounds_lengths,
+                  c + " fault_bounds+test_lengths hit");
+    expect_pinned(service.handle_line(kPerturb), p.perturb, c + " perturb");
+    expect_pinned(service.handle_line(kScreen), p.screen, c + " screen");
+    EXPECT_EQ(service.handle_line(kAnalyze), analyze) << c << " repeat";
+
+    ProtestService fresh;
+    ASSERT_TRUE(ServiceResponse::from_json(
+                    fresh.handle_line(load_line_for(p.circuit)))
+                    .ok);
+    expect_pinned(fresh.handle_line(kBoundsLengths), p.bounds_lengths,
+                  c + " fault_bounds+test_lengths miss");
+  }
+}
+
 TEST(ServiceFaultBounds, DeadlineStopsTheSweepAndMemoizesNothing) {
   // Building div's fault context alone outlasts a 1 ms budget, so the
   // sweep's first task boundary answers deadline_exceeded; the same

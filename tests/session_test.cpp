@@ -2,6 +2,8 @@
 // tuple cache, the incremental perturb() path, and JSON serialization.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "analysis/json.hpp"
 #include "circuits/iscas.hpp"
 #include "circuits/zoo.hpp"
@@ -176,6 +178,70 @@ TEST(AnalysisSession, LazyArtifactsAreMemoized) {
   EXPECT_EQ(r.observability().stem.size(), net.size());
   EXPECT_EQ(r.scoap().cc0.size(), net.size());
   EXPECT_EQ(r.stafan().c1.size(), net.size());
+}
+
+TEST(AnalysisSession, CacheKeepsNoViews) {
+  // The cache keeps each tuple's evaluation; the observability and
+  // detection views belong to the result handles.  Once every handle of a
+  // default-artifact analyze is gone, the cache holds what a signal-
+  // probabilities-only analyze of the tuple leaves, and a hit rebuilds
+  // the views into the same bytes.
+  const Netlist net = make_circuit("alu");
+  const InputProbs ip = varied_tuple(net, 0.5);
+  AnalysisSession session(net);
+  std::string first;
+  {
+    const AnalysisResult r = session.analyze(ip);
+    const AnalysisResult copy = r;  // copies share one views block
+    EXPECT_EQ(&copy.detection_probs(), &r.detection_probs());
+    first = r.to_json(0);
+  }
+  AnalysisSession minimal(net);
+  minimal.analyze(ip, AnalysisRequest::minimal());
+  const SessionStats kept = session.stats();
+  EXPECT_EQ(kept.resident_results, 1u);
+  EXPECT_EQ(kept.resident_bytes, minimal.stats().resident_bytes);
+  // The tuple and the signal probabilities, plus the conditioning sets.
+  EXPECT_GT(kept.resident_bytes, (ip.size() + net.size()) * sizeof(double));
+
+  const AnalysisResult hit = session.analyze(ip);
+  EXPECT_EQ(session.stats().cache_hits, 1u);
+  EXPECT_EQ(hit.to_json(0), first);
+  EXPECT_EQ(session.stats().resident_bytes, kept.resident_bytes);
+
+  // Fault bounds cost a sweep to rebuild, so the cache keeps and counts
+  // them.
+  AnalysisRequest bounds = AnalysisRequest::minimal();
+  bounds.fault_bounds = true;
+  session.analyze(ip, bounds);
+  EXPECT_EQ(session.stats().resident_bytes,
+            kept.resident_bytes + session.faults().size() * sizeof(FaultBound));
+  EXPECT_NE(session.stats().to_json(0).find("\"resident_bytes\":"),
+            std::string::npos);
+}
+
+TEST(AnalysisSession, ConcurrentHitsShareOneViews) {
+  // Hits racing on one cached tuple whose handles are all gone: the first
+  // to attach starts a views block, the others re-attach to it while it
+  // is held, and the detection probabilities are built once.
+  const Netlist net = make_circuit("alu");
+  const InputProbs ip = varied_tuple(net, 0.5);
+  AnalysisSession session(net);
+  session.analyze(ip);
+  constexpr std::size_t kThreads = 8;
+  std::vector<AnalysisResult> hits(kThreads);
+  std::vector<const std::vector<double>*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      hits[t] = session.analyze(ip);
+      seen[t] = &hits[t].detection_probs();
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(session.stats().cache_hits, kThreads);
+  for (std::size_t t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  AnalysisSession cold(net);
+  EXPECT_EQ(*seen[0], cold.analyze(ip).detection_probs());
 }
 
 TEST(AnalysisSession, ResultsOutliveTheSessionAndItsCache) {

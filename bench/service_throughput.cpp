@@ -26,6 +26,12 @@
 // next to the current directory; the section is skipped when neither
 // resolves (metrics simply absent from the JSON).
 //
+// The serialization section times div's analyze payload
+// (AnalysisResult::to_json(0), default artifacts already built) in a
+// 1-worker session and in one at the default worker count, whose large
+// arrays are written in chunks across its executor.  The two documents
+// must be byte-identical (exit 1 otherwise).
+//
 // Emits BENCH_service_throughput.json.  Run with --quick for a CI smoke.
 #include <algorithm>
 #include <chrono>
@@ -221,6 +227,46 @@ void run_circuit(bench::BenchJson& json, const std::string& circuit,
               cold_rps > 0.0 ? resident_rps / cold_rps : 0.0);
 }
 
+/// div's to_json(0) at 1 worker and at the default worker count: median
+/// milliseconds of a few repeats on a result whose artifacts are built.
+void run_serialization(bench::BenchJson& json) {
+  const Netlist net = make_circuit("div");
+  const InputProbs tuple = uniform_input_probs(net, 0.5);
+  constexpr int kRepeats = 5;
+  const auto time_to_json = [&](unsigned threads, std::string& doc) {
+    SessionOptions opts;
+    opts.parallel.num_threads = threads;
+    AnalysisSession session(net, opts);
+    const AnalysisResult result = session.analyze(tuple);
+    doc = result.to_json(0);  // warm-up; at the default, starts the pool
+    std::vector<double> ms;
+    for (int r = 0; r < kRepeats; ++r)
+      ms.push_back(1e3 *
+                   bench::time_seconds([&] { doc = result.to_json(0); }));
+    std::sort(ms.begin(), ms.end());
+    return ms[ms.size() / 2];
+  };
+  std::string serial_doc, default_doc;
+  const double serial_ms = time_to_json(1, serial_doc);
+  const double default_ms = time_to_json(0, default_doc);
+  const unsigned workers = ParallelConfig{}.resolved();
+  std::printf("\ndiv to_json(0), %zu bytes, median of %d\n",
+              serial_doc.size(), kRepeats);
+  TextTable t({"workers", "ms"});
+  t.add_row({"1", fmt(serial_ms, 2)});
+  t.add_row({fmt_int(workers) + " (default)", fmt(default_ms, 2)});
+  std::printf("%s", t.str().c_str());
+  if (serial_doc != default_doc) {
+    std::printf("ERROR: div to_json(0) differs between 1 and %u workers!\n",
+                workers);
+    g_parity_ok = false;
+  }
+  json.metric("div.to_json.workers1_ms", serial_ms);
+  json.metric("div.to_json.default_ms", default_ms);
+  json.metric("div.to_json.default_workers", static_cast<double>(workers));
+  json.metric("div.to_json.bytes", static_cast<double>(serial_doc.size()));
+}
+
 /// The worker executable for the supervised section.  The bench binary
 /// itself is NOT a valid worker (Supervisor's /proc/self/exe fallback
 /// would spawn benches recursively), so only explicit paths qualify.
@@ -369,6 +415,7 @@ int main(int argc, char** argv) {
     run_circuit(json, "alu", 400, 40);
     run_circuit(json, "div", 120, 12);
   }
+  run_serialization(json);
   run_supervised(json, quick);
   json.write();
   return g_parity_ok ? 0 : 1;

@@ -1,10 +1,13 @@
 #include "analysis/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/executor.hpp"
 
 namespace protest {
 
@@ -149,6 +152,40 @@ JsonWriter& JsonWriter::null() {
 JsonWriter& JsonWriter::raw(std::string_view json) {
   before_value();
   out_ += json;
+  return *this;
+}
+
+bool JsonWriter::chunked(std::size_t n, const Executor* exec) const {
+  if (stack_.empty() || stack_.back() != 'a')
+    throw std::logic_error("JsonWriter::elements: no array is open");
+  return n > kElementsPerChunk && exec != nullptr && exec->num_workers() > 1;
+}
+
+JsonWriter& JsonWriter::write_chunks(
+    std::size_t n, Executor& exec,
+    const std::function<void(JsonWriter&, std::size_t)>& elem) {
+  const std::size_t num_chunks =
+      (n + kElementsPerChunk - 1) / kElementsPerChunk;
+  std::vector<std::string> fragments(num_chunks);
+  exec.parallel_for(num_chunks, [&](std::size_t c, unsigned /*worker*/) {
+    // A fragment starts as a fresh scope at this writer's depth: its first
+    // element gets the newline and indent but no comma, which the splice
+    // below adds exactly where the serial loop would.
+    JsonWriter frag(indent_);
+    frag.stack_ = stack_;
+    const std::size_t end = std::min(n, (c + 1) * kElementsPerChunk);
+    for (std::size_t i = c * kElementsPerChunk; i < end; ++i) elem(frag, i);
+    fragments[c] = std::move(frag.out_);
+  });
+  std::size_t bytes = out_.size();
+  for (const std::string& f : fragments) bytes += 1 + f.size();
+  out_.reserve(bytes);
+  for (const std::string& f : fragments) {
+    if (f.empty()) continue;  // every element of the chunk was skipped
+    if (!first_in_scope_) out_ += ',';
+    out_ += f;
+    first_in_scope_ = false;
+  }
   return *this;
 }
 

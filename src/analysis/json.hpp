@@ -4,7 +4,9 @@
 // AnalysisResult::to_json, the CLI's --json output, and the service
 // protocol.  Handles nesting, comma placement, indentation, string
 // escaping (every control character < 0x20), and shortest-round-trip
-// double formatting (non-finite doubles emit null).
+// double formatting (non-finite doubles emit null).  elements() writes a
+// long array in fixed chunks across an executor and splices them into
+// the bytes the serial loop writes.
 //
 // JsonValue / parse_json: a small recursive-descent reader producing an
 // ordered document tree — the decode side of the service wire format.
@@ -19,7 +21,9 @@
 #pragma once
 
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -30,8 +34,18 @@
 
 namespace protest {
 
+class Executor;
+
 class JsonWriter {
  public:
+  /// Array elements per elements() chunk.  alu's largest array (536
+  /// faults) stays one chunk, so it never reaches the executor; a chunk
+  /// of 1,024 entries holding one or two doubles each takes ~7-14 ms to
+  /// format, against tens of microseconds to hand a task to a worker, so
+  /// the per-job overhead stays under 1%.  (The same trade as
+  /// kFaultsPerTask in lint/fault_analyze.cpp.)
+  static constexpr std::size_t kElementsPerChunk = 1024;
+
   /// indent = spaces per nesting level; 0 writes compact one-line JSON.
   explicit JsonWriter(int indent = 2) : indent_(indent) {}
 
@@ -65,6 +79,25 @@ class JsonWriter {
   /// byte-identical-artifact guarantee).  The caller vouches for validity.
   JsonWriter& raw(std::string_view json);
 
+  /// Writes elements [0, n) of the array just opened or being filled:
+  /// `elem(w, i)` writes element i through `w`, as complete values (or
+  /// nothing, to skip i).  When n spans more than one chunk and `exec` has
+  /// more than one worker, the chunks are written on exec->parallel_for,
+  /// each into a fragment at this writer's indent and depth, and spliced
+  /// in index order with the commas the serial loop writes.  `elem` must
+  /// then be safe to call concurrently, and element i's bytes must depend
+  /// on i alone; the document is byte-identical for every worker count.
+  /// Otherwise (one chunk, null `exec`, one worker) this is that serial
+  /// loop, with no allocation and no executor call.
+  template <typename Elem>
+  JsonWriter& elements(std::size_t n, Executor* exec, Elem&& elem) {
+    if (!chunked(n, exec)) {
+      for (std::size_t i = 0; i < n; ++i) elem(*this, i);
+      return *this;
+    }
+    return write_chunks(n, *exec, std::ref(elem));
+  }
+
   /// The document written so far (complete once all containers are closed).
   const std::string& str() const { return out_; }
 
@@ -76,6 +109,12 @@ class JsonWriter {
   JsonWriter& write_uint(unsigned long long v);
   void before_value();
   void newline();
+  /// Throws std::logic_error unless an array is open; true when
+  /// elements() writes chunks on `exec`.
+  bool chunked(std::size_t n, const Executor* exec) const;
+  JsonWriter& write_chunks(
+      std::size_t n, Executor& exec,
+      const std::function<void(JsonWriter&, std::size_t)>& elem);
 
   std::string out_;
   int indent_;

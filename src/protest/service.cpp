@@ -678,43 +678,15 @@ std::string ProtestService::dispatch(const ServiceRequest& req) {
       artifacts.fault_bounds = true;
       const AnalysisResult res =
           session->analyze(request_tuple(req, session->netlist()), artifacts);
-      const FaultAnalysis& fa = res.fault_bounds();
-      const std::vector<Fault>& faults = session->faults();
       // Large netlists would otherwise dominate the response line; the
       // summary always ships, the per-fault list is capped.
       constexpr std::size_t kMaxFaultEntries = 4096;
-      const std::size_t shown = std::min(fa.bounds.size(), kMaxFaultEntries);
       JsonWriter w(0);
       w.begin_object();
       w.key("netlist").value(req.netlist);
-      w.key("summary").begin_object();
-      w.key("faults").value(fa.bounds.size());
-      w.key("proven_undetectable").value(fa.undetectable);
-      w.key("unexcitable").value(fa.unexcitable);
-      w.key("unobservable").value(fa.unobservable);
-      w.key("proven_detectable").value(fa.detectable);
-      w.key("uncertain").value(fa.uncertain);
-      w.key("truncated_sweeps").value(fa.truncated_sweeps);
-      w.key("frechet_widened").value(fa.frechet_widened);
-      w.key("learned_constants").value(fa.learned_constants);
-      w.key("settled_fraction").value(fa.settled_fraction());
-      w.end_object();
-      w.key("faults").begin_array();
-      const Netlist& net = session->netlist();
-      for (std::size_t f = 0; f < shown; ++f) {
-        const FaultBound& b = fa.bounds[f];
-        w.begin_object();
-        w.key("fault").value(to_string(net, faults[f]));
-        w.key("lo").value(b.lo);
-        w.key("hi").value(b.hi);
-        w.key("verdict").value(to_string(b.verdict));
-        if (b.cause != UndetectableCause::None)
-          w.key("cause").value(to_string(b.cause));
-        if (b.truncated) w.key("truncated").value(true);
-        w.end_object();
-      }
-      w.end_array();
-      if (shown < fa.bounds.size()) w.key("faults_truncated").value(true);
+      write_fault_bounds(w, session->netlist(), session->faults(),
+                         res.fault_bounds(), kMaxFaultEntries,
+                         registry_.executor().get());
       w.end_object();
       return w.str();
     }

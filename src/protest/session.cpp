@@ -341,6 +341,39 @@ std::uint64_t AnalysisResult::test_length(double d, double e) const {
   return required_test_length(detection_probs(), d, e);
 }
 
+void write_fault_bounds(JsonWriter& w, const Netlist& net,
+                        std::span<const Fault> faults, const FaultAnalysis& fa,
+                        std::size_t limit, Executor* exec) {
+  w.key("summary").begin_object();
+  w.key("faults").value(fa.bounds.size());
+  w.key("proven_undetectable").value(fa.undetectable);
+  w.key("unexcitable").value(fa.unexcitable);
+  w.key("unobservable").value(fa.unobservable);
+  w.key("proven_detectable").value(fa.detectable);
+  w.key("uncertain").value(fa.uncertain);
+  w.key("truncated_sweeps").value(fa.truncated_sweeps);
+  w.key("frechet_widened").value(fa.frechet_widened);
+  w.key("learned_constants").value(fa.learned_constants);
+  w.key("settled_fraction").value(fa.settled_fraction());
+  w.end_object();
+  const std::size_t shown = std::min(fa.bounds.size(), limit);
+  w.key("faults").begin_array();
+  w.elements(shown, exec, [&](JsonWriter& e, std::size_t f) {
+    const FaultBound& b = fa.bounds[f];
+    e.begin_object();
+    e.key("fault").value(to_string(net, faults[f]));
+    e.key("lo").value(b.lo);
+    e.key("hi").value(b.hi);
+    e.key("verdict").value(to_string(b.verdict));
+    if (b.cause != UndetectableCause::None)
+      e.key("cause").value(to_string(b.cause));
+    if (b.truncated) e.key("truncated").value(true);
+    e.end_object();
+  });
+  w.end_array();
+  if (shown < fa.bounds.size()) w.key("faults_truncated").value(true);
+}
+
 std::string AnalysisResult::to_json(int indent) const {
   State& s = checked(state_);
   const Netlist& net = s.shared->net;
@@ -366,27 +399,33 @@ std::string AnalysisResult::to_json(int indent) const {
   }
   w.end_array();
 
-  // Each artifact is read once, outside the loops that serialize it.
+  // Each artifact is read once, outside the loops that serialize it, so
+  // the node- and fault-sized arrays below can be written in chunks across
+  // the session's executor: every chunk only reads fixed data.
   const Observability* obs =
       request_.observability ? &observability() : nullptr;
   const FaultAnalysis* fa = request_.fault_bounds ? &fault_bounds() : nullptr;
+  const std::vector<double>* pf =
+      request_.detection_probs || request_.test_lengths ? &detection_probs()
+                                                        : nullptr;
+  const std::vector<Fault>& faults = s.shared->faults;
+  Executor* exec = s.shared->exec.get();
 
   w.key("signal_probs").begin_array();
-  for (NodeId n = 0; n < net.size(); ++n) {
-    if (net.is_input(n)) continue;
-    w.begin_object();
-    w.key("node").value(net.name_of(n));
-    w.key("p1").value(s.eval.probs[n]);
-    if (obs) w.key("observability").value(obs->stem[n]);
-    w.end_object();
-  }
+  w.elements(net.size(), exec, [&](JsonWriter& e, NodeId n) {
+    if (net.is_input(n)) return;
+    e.begin_object();
+    e.key("node").value(net.name_of(n));
+    e.key("p1").value(s.eval.probs[n]);
+    if (obs) e.key("observability").value(obs->stem[n]);
+    e.end_object();
+  });
   w.end_array();
 
   if (request_.detection_probs) {
-    const std::vector<double>& pf = detection_probs();
     w.key("detection_probs").begin_array();
-    for (std::size_t f = 0; f < s.shared->faults.size(); ++f) {
-      double v = pf[f];
+    w.elements(faults.size(), exec, [&](JsonWriter& e, std::size_t f) {
+      double v = (*pf)[f];
       if (fa) {
         // The estimator is a heuristic, the static interval a guarantee:
         // where they disagree, the interval wins.
@@ -395,54 +434,28 @@ std::string AnalysisResult::to_json(int indent) const {
                 ? 0.0
                 : std::clamp(v, b.lo, b.hi);
       }
-      w.begin_object();
-      w.key("fault").value(to_string(net, s.shared->faults[f]));
-      w.key("p_detect").value(v);
-      w.end_object();
-    }
+      e.begin_object();
+      e.key("fault").value(to_string(net, faults[f]));
+      e.key("p_detect").value(v);
+      e.end_object();
+    });
     w.end_array();
   }
 
   if (fa) {
     w.key("fault_bounds").begin_object();
-    w.key("summary").begin_object();
-    w.key("faults").value(fa->bounds.size());
-    w.key("proven_undetectable").value(fa->undetectable);
-    w.key("unexcitable").value(fa->unexcitable);
-    w.key("unobservable").value(fa->unobservable);
-    w.key("proven_detectable").value(fa->detectable);
-    w.key("uncertain").value(fa->uncertain);
-    w.key("truncated_sweeps").value(fa->truncated_sweeps);
-    w.key("frechet_widened").value(fa->frechet_widened);
-    w.key("learned_constants").value(fa->learned_constants);
-    w.key("settled_fraction").value(fa->settled_fraction());
-    w.end_object();
-    w.key("faults").begin_array();
-    for (std::size_t f = 0; f < fa->bounds.size(); ++f) {
-      const FaultBound& b = fa->bounds[f];
-      w.begin_object();
-      w.key("fault").value(to_string(net, s.shared->faults[f]));
-      w.key("lo").value(b.lo);
-      w.key("hi").value(b.hi);
-      w.key("verdict").value(to_string(b.verdict));
-      if (b.cause != UndetectableCause::None)
-        w.key("cause").value(to_string(b.cause));
-      if (b.truncated) w.key("truncated").value(true);
-      w.end_object();
-    }
-    w.end_array();
+    write_fault_bounds(w, net, faults, *fa, fa->bounds.size(), exec);
     w.end_object();
   }
 
   if (request_.test_lengths) {
-    const std::vector<double>& pf = detection_probs();
     w.key("test_lengths").begin_array();
     for (double d : request_.d_grid)
       for (double e : request_.e_grid) {
         w.begin_object();
         w.key("d").value(d);
         w.key("e").value(e);
-        const std::uint64_t n = required_test_length(pf, d, e);
+        const std::uint64_t n = required_test_length(*pf, d, e);
         if (n == kInfiniteTestLength)
           w.key("n").null();
         else
@@ -455,29 +468,29 @@ std::string AnalysisResult::to_json(int indent) const {
   if (request_.scoap) {
     const ScoapMeasures& m = scoap();
     w.key("scoap").begin_array();
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (net.is_input(n)) continue;
-      w.begin_object();
-      w.key("node").value(net.name_of(n));
-      w.key("cc0").value(static_cast<std::uint64_t>(m.cc0[n]));
-      w.key("cc1").value(static_cast<std::uint64_t>(m.cc1[n]));
-      w.key("co").value(static_cast<std::uint64_t>(m.co[n]));
-      w.end_object();
-    }
+    w.elements(net.size(), exec, [&](JsonWriter& e, NodeId n) {
+      if (net.is_input(n)) return;
+      e.begin_object();
+      e.key("node").value(net.name_of(n));
+      e.key("cc0").value(static_cast<std::uint64_t>(m.cc0[n]));
+      e.key("cc1").value(static_cast<std::uint64_t>(m.cc1[n]));
+      e.key("co").value(static_cast<std::uint64_t>(m.co[n]));
+      e.end_object();
+    });
     w.end_array();
   }
 
   if (request_.stafan) {
     const StafanMeasures& m = stafan();
     w.key("stafan").begin_array();
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (net.is_input(n)) continue;
-      w.begin_object();
-      w.key("node").value(net.name_of(n));
-      w.key("c1").value(m.c1[n]);
-      w.key("observability").value(m.obs[n]);
-      w.end_object();
-    }
+    w.elements(net.size(), exec, [&](JsonWriter& e, NodeId n) {
+      if (net.is_input(n)) return;
+      e.begin_object();
+      e.key("node").value(net.name_of(n));
+      e.key("c1").value(m.c1[n]);
+      e.key("observability").value(m.obs[n]);
+      e.end_object();
+    });
     w.end_array();
   }
 

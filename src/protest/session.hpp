@@ -41,8 +41,10 @@
 // compute them once.  Throughput inside a query comes from the Monte-Carlo
 // engine, which shards its patterns across threads, from
 // perturb_screen_sweep(), which fans a neighborhood across the session's
-// executor, and from the fault_bounds artifact, which fans its fault list
-// across the same executor (SessionOptions::parallel sizes all three).
+// executor, from the fault_bounds artifact, which fans its fault list
+// across the same executor, and from to_json(), which writes its node- and
+// fault-sized arrays in chunks on it (SessionOptions::parallel sizes all
+// four; the bytes are the same at every worker count).
 // The netlist must outlive the session and every result obtained from it.
 #pragma once
 
@@ -90,7 +92,8 @@ struct SessionOptions {
   std::uint64_t stafan_seed = 1;          ///< STAFAN artifact pattern seed
   /// Worker count for everything the session parallelizes: the sharded
   /// Monte-Carlo engine (when engine == "monte-carlo"), the
-  /// perturb_screen_sweep neighborhood fan-out and the fault_bounds sweep.
+  /// perturb_screen_sweep neighborhood fan-out, the fault_bounds sweep and
+  /// the serialization of arrays longer than one JsonWriter chunk.
   /// Results are bit-identical for every value; 1 is the serial path.
   ParallelConfig parallel;
 };
@@ -232,6 +235,8 @@ class AnalysisResult {
 
   /// Serializes the requested artifacts (computing any that are missing).
   /// Unreachable test lengths serialize as null.  indent = 0 for compact.
+  /// Arrays longer than one chunk (JsonWriter::elements) are written across
+  /// the session's executor; the document is the same at any worker count.
   std::string to_json(int indent = 2) const;
 
  private:
@@ -243,6 +248,17 @@ class AnalysisResult {
   std::shared_ptr<Views> views_;
   AnalysisRequest request_;
 };
+
+/// Writes the members of a fault-bounds payload into the open object:
+/// `summary` (the census), then `faults`, the first `limit` per-fault
+/// entries (fault, lo, hi, verdict, and cause and truncated where set),
+/// then `"faults_truncated": true` when the limit cut the list.  The
+/// entries are written on `exec` by JsonWriter::elements, so the bytes are
+/// the same for every worker count.  AnalysisResult::to_json (no limit)
+/// and the service's fault_bounds verb (capped) both write through it.
+void write_fault_bounds(JsonWriter& w, const Netlist& net,
+                        std::span<const Fault> faults, const FaultAnalysis& fa,
+                        std::size_t limit, Executor* exec);
 
 class AnalysisSession {
  public:

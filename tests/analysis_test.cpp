@@ -2,12 +2,16 @@
 // the JSON layer (writer hardening + the recursive-descent reader).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <thread>
 
 #include "analysis/json.hpp"
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 namespace {
@@ -141,6 +145,106 @@ TEST(JsonWriter, RawSplicesVerbatim) {
   w.key("result").raw("{\"p\":0.25}");
   w.end_object();
   EXPECT_EQ(w.str(), "{\"result\":{\"p\":0.25}}");
+}
+
+/// Where two documents first differ, or "" when they are equal: a failure
+/// message that does not print whole payloads.
+std::string first_difference(std::string_view a, std::string_view b) {
+  if (a == b) return "";
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+      a.begin());
+  return "sizes " + std::to_string(a.size()) + " and " +
+         std::to_string(b.size()) + ", first difference at byte " +
+         std::to_string(at) + ": \"" + std::string(a.substr(at, 40)) +
+         "\" vs \"" + std::string(b.substr(at, 40)) + "\"";
+}
+
+TEST(JsonWriter, ElementsMatchTheSerialLoopAtEveryWorkerCount) {
+  // elements() against the loop it replaces: array lengths on both sides
+  // of each chunk edge, skipped elements, a chunk whose elements are all
+  // skipped, an array that already holds an element, nested containers,
+  // and both indents.
+  constexpr std::size_t kChunk = JsonWriter::kElementsPerChunk;
+  const auto elem = [](JsonWriter& w, std::size_t i) {
+    if (i % 7 == 3 || (i >= kChunk && i < 2 * kChunk)) return;
+    w.begin_object();
+    w.key("i").value(i);
+    w.key("x").value(0.25 * static_cast<double>(i % 4));
+    w.key("v").begin_array().value(i % 2 == 0).null().end_array();
+    w.end_object();
+  };
+  const auto document = [&](std::size_t n, int indent, Executor* exec,
+                            bool plain_loop) {
+    const auto rows = [&](JsonWriter& w) {
+      if (plain_loop) {
+        for (std::size_t i = 0; i < n; ++i) elem(w, i);
+      } else {
+        w.elements(n, exec, elem);
+      }
+    };
+    JsonWriter w(indent);
+    w.begin_object();
+    w.key("fresh").begin_array();
+    rows(w);
+    w.end_array();
+    w.key("after_lead").begin_array().value("lead");
+    rows(w);
+    w.end_array();
+    w.key("nested").begin_array().begin_object().key("rows").begin_array();
+    rows(w);
+    w.end_array().end_object().end_array();
+    w.end_object();
+    return w.str();
+  };
+  Executor one(1u);
+  Executor four(4u);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+        2 * kChunk - 1, 2 * kChunk, 2 * kChunk + 1, 3 * kChunk + 5})
+    for (const int indent : {0, 2}) {
+      const std::string serial = document(n, indent, nullptr, true);
+      const std::string what =
+          "n=" + std::to_string(n) + " indent=" + std::to_string(indent);
+      EXPECT_EQ(first_difference(document(n, indent, &four, false), serial),
+                "")
+          << what;
+      EXPECT_EQ(first_difference(document(n, indent, &one, false), serial), "")
+          << what;
+      EXPECT_EQ(
+          first_difference(document(n, indent, nullptr, false), serial), "")
+          << what;
+    }
+
+  // Every element skipped: no stray comma, whatever the chunking.
+  JsonWriter none(0);
+  none.begin_array();
+  none.elements(3 * kChunk, &four, [](JsonWriter&, std::size_t) {});
+  none.end_array();
+  EXPECT_EQ(none.str(), "[]");
+
+  // One chunk never reaches the executor: every element is written on the
+  // calling thread.
+  std::vector<std::thread::id> writers;
+  JsonWriter small(0);
+  small.begin_array();
+  small.elements(kChunk, &four, [&](JsonWriter& w, std::size_t i) {
+    writers.push_back(std::this_thread::get_id());
+    w.value(i);
+  });
+  small.end_array();
+  ASSERT_EQ(writers.size(), kChunk);
+  for (const std::thread::id& id : writers)
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(JsonWriter, ElementsNeedAnOpenArray) {
+  const auto skip = [](JsonWriter&, std::size_t) {};
+  JsonWriter top(0);
+  EXPECT_THROW(top.elements(1, nullptr, skip), std::logic_error);
+  JsonWriter in_object(0);
+  in_object.begin_object();
+  EXPECT_THROW(in_object.elements(1, nullptr, skip), std::logic_error);
 }
 
 // --- JsonValue / parse_json -------------------------------------------------

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -587,10 +588,18 @@ std::string load_line_for(const char* circuit) {
 constexpr const char* kFaultBoundsLine =
     R"({"verb":"fault_bounds","id":2,"netlist":"n","p":0.5})";
 
+/// A service whose shared executor has `threads` workers.
+ServiceConfig service_with_threads(unsigned threads) {
+  ServiceConfig cfg;
+  cfg.parallel = with_threads(threads);
+  return cfg;
+}
+
 // The served fault_bounds line after a fresh load, pinned byte for byte
 // (FNV-1a 64 over the whole response line, recorded from the serial
-// heap-driven kernel).  The sweep now fans out across the service's
-// executor; the bytes must not notice.
+// heap-driven kernel).  The sweep and the fault list's serialization fan
+// out across the service's executor; at 1, 2 and 4 workers the bytes must
+// not notice.
 TEST(ServiceFaultBounds, ResponseLinesArePinned) {
   struct Pin {
     const char* circuit;
@@ -600,14 +609,17 @@ TEST(ServiceFaultBounds, ResponseLinesArePinned) {
   const Pin pins[] = {{"alu", 33'123, 0xb25d5e0ac0408c34ull},
                       {"mult", 251'272, 0x796b07b3f634345bull},
                       {"div", 259'464, 0x356ad33a0aea7567ull}};
-  for (const Pin& p : pins) {
-    ProtestService service;
-    const std::string load = service.handle_line(load_line_for(p.circuit));
-    ASSERT_TRUE(ServiceResponse::from_json(load).ok) << load;
-    const std::string line = service.handle_line(kFaultBoundsLine);
-    EXPECT_EQ(line.size(), p.bytes) << p.circuit;
-    EXPECT_EQ(fnv1a64(line), p.hash) << p.circuit;
-  }
+  for (const unsigned threads : {1u, 2u, 4u})
+    for (const Pin& p : pins) {
+      const std::string what =
+          std::string(p.circuit) + " at " + std::to_string(threads);
+      ProtestService service(service_with_threads(threads));
+      const std::string load = service.handle_line(load_line_for(p.circuit));
+      ASSERT_TRUE(ServiceResponse::from_json(load).ok) << load;
+      const std::string line = service.handle_line(kFaultBoundsLine);
+      EXPECT_EQ(line.size(), p.bytes) << what;
+      EXPECT_EQ(fnv1a64(line), p.hash) << what;
+    }
 }
 
 // The served analyze and perturb lines, pinned byte for byte like the
@@ -617,6 +629,8 @@ TEST(ServiceFaultBounds, ResponseLinesArePinned) {
 // exact and a screen perturb of the cached tuple, and the first analyze
 // again once no handle of it is left, which must rebuild the same bytes.
 // A second service asks for fault bounds and test lengths on a miss.
+// Every conversation runs at 1, 2 and 4 workers: div's arrays span
+// several serialization chunks.
 TEST(ServiceAnalyze, ResponseLinesArePinned) {
   constexpr const char* kAnalyze =
       R"({"verb":"analyze","id":2,"netlist":"n","p":0.5})";
@@ -653,27 +667,64 @@ TEST(ServiceAnalyze, ResponseLinesArePinned) {
     EXPECT_EQ(line.size(), pin.bytes) << what;
     EXPECT_EQ(fnv1a64(line), pin.hash) << what;
   };
-  for (const Pin& p : pins) {
-    const std::string c = p.circuit;
-    ProtestService service;
-    ASSERT_TRUE(ServiceResponse::from_json(
-                    service.handle_line(load_line_for(p.circuit)))
-                    .ok);
-    const std::string analyze = service.handle_line(kAnalyze);
-    expect_pinned(analyze, p.analyze, c + " analyze");
-    expect_pinned(service.handle_line(kBoundsLengths), p.bounds_lengths,
-                  c + " fault_bounds+test_lengths hit");
-    expect_pinned(service.handle_line(kPerturb), p.perturb, c + " perturb");
-    expect_pinned(service.handle_line(kScreen), p.screen, c + " screen");
-    EXPECT_EQ(service.handle_line(kAnalyze), analyze) << c << " repeat";
+  for (const unsigned threads : {1u, 2u, 4u})
+    for (const Pin& p : pins) {
+      const std::string c =
+          std::string(p.circuit) + " at " + std::to_string(threads);
+      ProtestService service(service_with_threads(threads));
+      ASSERT_TRUE(ServiceResponse::from_json(
+                      service.handle_line(load_line_for(p.circuit)))
+                      .ok);
+      const std::string analyze = service.handle_line(kAnalyze);
+      expect_pinned(analyze, p.analyze, c + " analyze");
+      expect_pinned(service.handle_line(kBoundsLengths), p.bounds_lengths,
+                    c + " fault_bounds+test_lengths hit");
+      expect_pinned(service.handle_line(kPerturb), p.perturb, c + " perturb");
+      expect_pinned(service.handle_line(kScreen), p.screen, c + " screen");
+      EXPECT_EQ(service.handle_line(kAnalyze), analyze) << c << " repeat";
 
-    ProtestService fresh;
-    ASSERT_TRUE(ServiceResponse::from_json(
-                    fresh.handle_line(load_line_for(p.circuit)))
-                    .ok);
-    expect_pinned(fresh.handle_line(kBoundsLengths), p.bounds_lengths,
-                  c + " fault_bounds+test_lengths miss");
+      ProtestService fresh(service_with_threads(threads));
+      ASSERT_TRUE(ServiceResponse::from_json(
+                      fresh.handle_line(load_line_for(p.circuit)))
+                      .ok);
+      expect_pinned(fresh.handle_line(kBoundsLengths), p.bounds_lengths,
+                    c + " fault_bounds+test_lengths miss");
+    }
+}
+
+/// This process's thread count (the Threads: line of /proc/self/status),
+/// or 0 where that file does not exist.
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+// alu's arrays each fit one serialization chunk and its 536 faults one
+// sweep task, so a default-thread service answers every verb of an alu
+// conversation on the calling thread: the executor's pool never starts.
+// A pool started here would cost each small request a worker wake-up.
+TEST(ServiceThreads, AluConversationNeverStartsTheWorkerPool) {
+  const std::size_t before = process_threads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  ProtestService service;
+  const std::string lines[] = {
+      load_line_for("alu"),
+      R"({"verb":"analyze","id":2,"netlist":"n","p":0.5})",
+      R"({"verb":"perturb","id":3,"netlist":"n","p":0.5,)"
+      R"("input_index":3,"new_p":0.25})",
+      R"({"verb":"perturb","id":4,"netlist":"n","p":0.5,)"
+      R"("input_index":5,"new_p":0.875,"screen":true})",
+      kFaultBoundsLine,
+      R"({"verb":"lint","id":6,"netlist":"n"})",
+      R"({"verb":"stats","id":7,"netlist":"n"})"};
+  for (const std::string& line : lines) {
+    const std::string response = service.handle_line(line);
+    EXPECT_TRUE(ServiceResponse::from_json(response).ok) << response;
   }
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(ServiceFaultBounds, DeadlineStopsTheSweepAndMemoizesNothing) {

@@ -2,10 +2,13 @@
 // tuple cache, the incremental perturb() path, and JSON serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
 #include <thread>
 
 #include "analysis/json.hpp"
 #include "circuits/iscas.hpp"
+#include "circuits/random_circuit.hpp"
 #include "circuits/zoo.hpp"
 #include "protest/session.hpp"
 
@@ -316,6 +319,61 @@ TEST(AnalysisSession, JsonContainsRequestedArtifactsOnly) {
                           "\"detection_probs\"", "\"test_lengths\"",
                           "\"scoap\"", "\"stafan\""})
     EXPECT_NE(full.find(key), std::string::npos) << key;
+}
+
+/// Where two documents first differ, or "" when they are equal: a failure
+/// message that does not print whole payloads.
+std::string first_difference(std::string_view a, std::string_view b) {
+  if (a == b) return "";
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+      a.begin());
+  return "sizes " + std::to_string(a.size()) + " and " +
+         std::to_string(b.size()) + ", first difference at byte " +
+         std::to_string(at) + ": \"" + std::string(a.substr(at, 40)) +
+         "\" vs \"" + std::string(b.substr(at, 40)) + "\"";
+}
+
+TEST(AnalysisSession, JsonIsByteIdenticalAtEveryWorkerCount) {
+  // The node- and fault-sized arrays are written in JsonWriter chunks
+  // across the session's executor; a 4-worker session must serialize
+  // exactly what a serial one does, compact and indented.
+  const auto expect_same_json = [](const Netlist& net,
+                                   const AnalysisRequest& req,
+                                   const std::string& what) {
+    SessionOptions serial;
+    serial.stafan_patterns = 256;  // the arrays, not the sampling, matter
+    serial.parallel.num_threads = 1;
+    SessionOptions wide = serial;
+    wide.parallel.num_threads = 4;
+    AnalysisSession one(net, serial);
+    // One engine, so its plan is built once; only the executor differs.
+    AnalysisSession four(net, one.engine_ptr(), one.faults(), wide);
+    const InputProbs ip = varied_tuple(net, 0.5);
+    const AnalysisResult a = one.analyze(ip, req);
+    const AnalysisResult b = four.analyze(ip, req);
+    EXPECT_EQ(first_difference(a.to_json(0), b.to_json(0)), "") << what;
+    EXPECT_EQ(first_difference(a.to_json(2), b.to_json(2)), "") << what;
+  };
+  // Node arrays (signal_probs, scoap, stafan) ending one element before,
+  // exactly on, and one element past the second chunk boundary.  More
+  // primary inputs than one chunk, which keeps the circuits cheap to
+  // analyze and makes node ids [0, kChunk) all inputs: the first chunk of
+  // each node array writes nothing.  The fault arrays span several chunks.
+  constexpr std::size_t kChunk = JsonWriter::kElementsPerChunk;
+  for (const std::size_t nodes : {2 * kChunk - 1, 2 * kChunk, 2 * kChunk + 1}) {
+    RandomCircuitParams p;
+    p.num_inputs = kChunk + 64;
+    p.num_gates = nodes - p.num_inputs;
+    p.max_fanin = 2;
+    p.seed = nodes;
+    const Netlist net = make_random_circuit(p);
+    ASSERT_EQ(net.size(), nodes);
+    expect_same_json(net, AnalysisRequest::everything(),
+                     std::to_string(nodes) + " nodes");
+  }
+  // div with the default artifacts: the served what-if payload.
+  expect_same_json(make_circuit("div"), AnalysisRequest{}, "div");
 }
 
 TEST(AnalysisSession, JsonRoundTripsProbabilities) {

@@ -69,19 +69,19 @@ void sweep_maxlist(const Netlist& net, const std::vector<double>& exact) {
 
 void sweep_observability(const Netlist& net) {
   std::printf("\n(c) observability models vs exhaustive P_SIM (ALU)\n");
-  const Protest base(net);
   const PatternSet all = PatternSet::exhaustive(net.inputs().size());
-  const auto psim =
-      base.fault_simulate(all, FaultSimMode::CountDetections).detection_probs();
+  const auto psim = simulate_faults(net, structural_fault_list(net), all,
+                                    FaultSimMode::CountDetections)
+                        .detection_probs();
   TextTable t({"stem model", "transfer", "corr", "mean |err|", "signed bias"});
   for (auto stem : {StemModel::XorChain, StemModel::OrChain})
     for (auto tr : {TransferModel::PaperArithmetic, TransferModel::BooleanDifference}) {
-      ProtestOptions o;
+      SessionOptions o;
       o.observability.stem = stem;
       o.observability.transfer = tr;
-      const Protest tool(net, o);
-      const auto rep = tool.analyze(uniform_input_probs(net, 0.5));
-      const ErrorStats s = compare_estimates(rep.detection_probs, psim);
+      AnalysisSession session(net, o);
+      const AnalysisResult rep = session.analyze(uniform_input_probs(net, 0.5));
+      const ErrorStats s = compare_estimates(rep.detection_probs(), psim);
       t.add_row({stem == StemModel::XorChain ? "A (xor-chain)" : "B (or-chain)",
                  tr == TransferModel::PaperArithmetic ? "paper" : "bool-diff",
                  fmt(s.correlation, 3), fmt(s.mean_abs_error, 3),
@@ -94,20 +94,23 @@ void sweep_observability(const Netlist& net) {
 
 void miter_option_on(const char* name, std::size_t stride) {
   const Netlist net = make_circuit(name);
-  const Protest tool(net);
+  AnalysisSession session(net);
+  const std::vector<Fault>& faults = session.faults();
   const PatternSet all = PatternSet::exhaustive(net.inputs().size());
   const auto psim =
-      tool.fault_simulate(all, FaultSimMode::CountDetections).detection_probs();
+      simulate_faults(net, faults, all, FaultSimMode::CountDetections)
+          .detection_probs();
   const auto ip = uniform_input_probs(net, 0.5);
 
   // Signal-flow model (linear).
-  ProtestReport rep;
-  const double t_flow = bench::time_seconds([&] { rep = tool.analyze(ip); });
-  const ErrorStats s_flow = compare_estimates(rep.detection_probs, psim);
+  AnalysisResult rep;
+  const double t_flow =
+      bench::time_seconds([&] { rep = session.analyze(ip); });
+  const ErrorStats s_flow = compare_estimates(rep.detection_probs(), psim);
 
   // Miter transform (quadratic), sampled, at two conditioning budgets.
   TextTable t({"method", "faults", "corr", "mean |err|", "time (s)"});
-  t.add_row({"signal flow (sect. 3)", std::to_string(tool.faults().size()),
+  t.add_row({"signal flow (sect. 3)", std::to_string(faults.size()),
              fmt(s_flow.correlation, 3), fmt(s_flow.mean_abs_error, 3),
              fmt(t_flow, 3)});
   for (unsigned mv : {4u, 10u}) {
@@ -116,9 +119,9 @@ void miter_option_on(const char* name, std::size_t stride) {
     params.max_candidates = 48;
     std::vector<double> est_m, sim_m;
     const double t_miter = bench::time_seconds([&] {
-      for (std::size_t i = 0; i < tool.faults().size(); i += stride) {
+      for (std::size_t i = 0; i < faults.size(); i += stride) {
         est_m.push_back(
-            estimated_detection_prob_miter(net, tool.faults()[i], ip, params));
+            estimated_detection_prob_miter(net, faults[i], ip, params));
         sim_m.push_back(psim[i]);
       }
     });

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "analysis/table.hpp"
-#include "protest/protest.hpp"
+#include "optimize/hill_climb.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/pattern.hpp"
 #include "testlen/test_length.hpp"
 
 namespace protest::bench {

@@ -3,6 +3,9 @@
 // PROTEST conditioning), observability, SCOAP and BDD construction.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+
 #include "bdd/bdd.hpp"
 #include "circuits/zoo.hpp"
 #include "measures/scoap.hpp"
@@ -10,7 +13,6 @@
 #include "prob/engine.hpp"
 #include "prob/exact.hpp"
 #include "prob/naive.hpp"
-#include "protest/protest.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/word_sim.hpp"
 

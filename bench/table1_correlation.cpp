@@ -26,57 +26,56 @@ struct Row {
 void run_circuit(const std::string& name, double paper_max, double paper_delta,
                  double paper_c) {
   const Netlist net = make_circuit(name);
-  const Protest tool(net);
+  const std::vector<Fault> faults = structural_fault_list(net);
 
   // P_SIM: exhaustive for the ALU (2^14), 100k random patterns for MULT.
   const PatternSet ps =
       net.inputs().size() <= 16
           ? PatternSet::exhaustive(net.inputs().size())
           : PatternSet::random(net.inputs().size(), 100'000, 1985);
-  const auto psim =
-      tool.fault_simulate(ps, FaultSimMode::CountDetections).detection_probs();
+  const auto psim = simulate_faults(net, faults, ps,
+                                    FaultSimMode::CountDetections)
+                        .detection_probs();
+
+  // PROTEST detection probabilities of the structural list at p = 0.5.
+  auto protest_row = [&](const char* label, const SessionOptions& o) {
+    AnalysisSession session(net, o);
+    const AnalysisResult report =
+        session.analyze(uniform_input_probs(net, 0.5));
+    return Row{label, compare_estimates(report.detection_probs(), psim)};
+  };
 
   std::vector<Row> rows;
+  rows.push_back(protest_row("PROTEST (model B)", {}));
   {
-    const auto report = tool.analyze(uniform_input_probs(net, 0.5));
-    rows.push_back({"PROTEST (model B)",
-                    compare_estimates(report.detection_probs, psim)});
-  }
-  {
-    ProtestOptions o;
+    SessionOptions o;
     o.observability.stem = StemModel::XorChain;
-    const Protest tool_a(net, o);
-    const auto report = tool_a.analyze(uniform_input_probs(net, 0.5));
-    rows.push_back({"PROTEST (model A)",
-                    compare_estimates(report.detection_probs, psim)});
+    rows.push_back(protest_row("PROTEST (model A)", o));
   }
   {
     // Cross-engine validation: same observability pipeline, but signal
     // probabilities from the independence-propagation engine instead of
     // the paper's estimator.
-    ProtestOptions o;
+    SessionOptions o;
     o.engine = "naive";
-    const Protest tool_n(net, o);
-    const auto report = tool_n.analyze(uniform_input_probs(net, 0.5));
-    rows.push_back({"naive engine [AgAg75]",
-                    compare_estimates(report.detection_probs, psim)});
+    rows.push_back(protest_row("naive engine [AgAg75]", o));
   }
   {
     const auto m = compute_scoap(net);
-    rows.push_back({"P_SCOAP [AgMe82]",
-                    compare_estimates(
-                        pscoap_detection_probs(net, tool.faults(), m), psim)});
+    rows.push_back(
+        {"P_SCOAP [AgMe82]",
+         compare_estimates(pscoap_detection_probs(net, faults, m), psim)});
   }
   {
     const auto m = compute_stafan(
         net, PatternSet::random(net.inputs().size(), 20'000, 7));
-    rows.push_back({"STAFAN [AgJa84]",
-                    compare_estimates(
-                        stafan_detection_probs(net, tool.faults(), m), psim)});
+    rows.push_back(
+        {"STAFAN [AgJa84]",
+         compare_estimates(stafan_detection_probs(net, faults, m), psim)});
   }
 
   std::printf("\n%s (%zu faults, %zu patterns for P_SIM)\n", name.c_str(),
-              tool.faults().size(), ps.num_patterns());
+              faults.size(), ps.num_patterns());
   TextTable t({"estimator", "Max", "Delta", "C", "signed bias"});
   t.add_row({"paper: PROTEST", fmt(paper_max, 2), fmt(paper_delta, 2),
              fmt(paper_c, 2), "(P_SIM >= P_PROT)"});

@@ -16,24 +16,27 @@ int main() {
                "full-set coverage"});
   for (const PaperRow row : {PaperRow{"alu", 212}, PaperRow{"mult", 607}}) {
     const Netlist net = make_circuit(row.name);
-    const Protest tool(net);
-    const auto report = tool.analyze(uniform_input_probs(net, 0.5));
-    const std::uint64_t n = tool.test_length(report, 0.98, 0.98);
+    AnalysisSession session(net);
+    const std::vector<Fault>& faults = session.faults();
+    const AnalysisResult report =
+        session.analyze(uniform_input_probs(net, 0.5));
+    const std::uint64_t n = report.test_length(0.98, 0.98);
 
     // Validation exactly like the paper: create pattern sets of size N and
     // fault-simulate.  Coverage is reported over detectable faults (oracle:
     // a long reference run), like the paper's 99.9-100% figures.
-    const PatternSet set = tool.generate_patterns(
-        report.input_probs, static_cast<std::size_t>(n), 77);
-    const auto sim = tool.fault_simulate(set, FaultSimMode::FirstDetection);
+    const PatternSet set = PatternSet::weighted(
+        report.input_probs(), static_cast<std::size_t>(n), 77);
+    const auto sim =
+        simulate_faults(net, faults, set, FaultSimMode::FirstDetection);
     const PatternSet oracle_ps =
         net.inputs().size() <= 16
             ? PatternSet::exhaustive(net.inputs().size())
             : PatternSet::random(net.inputs().size(), 200'000, 3);
     const auto oracle =
-        tool.fault_simulate(oracle_ps, FaultSimMode::FirstDetection);
+        simulate_faults(net, faults, oracle_ps, FaultSimMode::FirstDetection);
     std::size_t detectable = 0, detected = 0;
-    for (std::size_t i = 0; i < tool.faults().size(); ++i) {
+    for (std::size_t i = 0; i < faults.size(); ++i) {
       if (oracle.first_detect[i] < 0) continue;
       ++detectable;
       detected += sim.first_detect[i] >= 0;

@@ -25,11 +25,11 @@ int main() {
 
   const Netlist div = make_circuit("div");
   const Netlist comp = make_circuit("comp");
-  const Protest tool_div(div), tool_comp(comp);
+  AnalysisSession session_div(div), session_comp(comp);
   const auto pf_div = bench::detectable(
-      tool_div.analyze(uniform_input_probs(div, 0.5)).detection_probs);
+      session_div.analyze(uniform_input_probs(div, 0.5)).detection_probs());
   const auto pf_comp = bench::detectable(
-      tool_comp.analyze(uniform_input_probs(comp, 0.5)).detection_probs);
+      session_comp.analyze(uniform_input_probs(comp, 0.5)).detection_probs());
 
   TextTable t({"d", "e", "N(DIV) paper", "N(DIV) ours", "N(COMP) paper",
                "N(COMP) ours"});

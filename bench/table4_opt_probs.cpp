@@ -29,12 +29,12 @@ int main() {
       {"TI1", 0.63}, {"TI2", 0.63}, {"TI3", 0.63}};
 
   const Netlist net = make_circuit("comp");
-  ProtestOptions popts;
+  SessionOptions popts;
   popts.universe = FaultUniverse::Collapsed;
-  const Protest tool(net, popts);
+  const AnalysisSession session(net, popts);
   HillClimbOptions opts;
   opts.max_sweeps = 6;
-  const HillClimbResult res = tool.optimize(10'000, opts);
+  const HillClimbResult res = optimize_input_probs(session, 10'000, opts);
 
   TextTable t({"input", "paper", "ours", "input", "paper", "ours"});
   const auto inputs = net.inputs();

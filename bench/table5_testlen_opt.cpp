@@ -27,20 +27,20 @@ int main() {
     const Netlist net = make_circuit(name);
     // Climbing only needs a gradient signal: a cheap estimator
     // configuration makes the sweep ~10x faster at equal outcome.
-    ProtestOptions popts;
+    SessionOptions popts;
     popts.universe = FaultUniverse::Collapsed;
     popts.estimator.maxvers = 2;
     popts.estimator.maxlist = 8;
     popts.estimator.max_candidates = 8;
-    const Protest tool(net, popts);
+    const AnalysisSession session(net, popts);
     HillClimbOptions opts;
     opts.max_sweeps = 4;
-    const HillClimbResult res = tool.optimize(n_param, opts);
+    const HillClimbResult res = optimize_input_probs(session, n_param, opts);
     *probs_out = res.probs;
     // Detection probabilities of the *structural* list under the optimized
     // tuple with the full-precision estimator, matching Table 3's universe.
-    const Protest full(net);
-    return bench::detectable(full.analyze(res.probs).detection_probs);
+    AnalysisSession full(net);
+    return bench::detectable(full.analyze(res.probs).detection_probs());
   };
 
   std::vector<double> div_probs, comp_probs;

@@ -22,24 +22,26 @@ struct Curves {
 
 Curves run(const char* name) {
   const Netlist net = make_circuit(name);
-  ProtestOptions popts;
+  SessionOptions popts;
   popts.universe = FaultUniverse::Collapsed;
   popts.estimator.maxvers = 2;  // cheap gradient config (see table5)
   popts.estimator.maxlist = 8;
   popts.estimator.max_candidates = 8;
-  const Protest tool(net, popts);
+  const AnalysisSession session(net, popts);
 
   HillClimbOptions opts;
   opts.max_sweeps = 4;
-  const HillClimbResult res = tool.optimize(10'000, opts);
+  const HillClimbResult res = optimize_input_probs(session, 10'000, opts);
 
   const std::size_t total = 12'000;
+  auto simulate = [&](std::span<const double> probs) {
+    return simulate_faults(net, session.faults(),
+                           PatternSet::weighted(probs, total, 6),
+                           FaultSimMode::FirstDetection);
+  };
   Curves c;
-  c.uniform = tool.fault_simulate(
-      tool.generate_patterns(uniform_input_probs(net, 0.5), total, 6),
-      FaultSimMode::FirstDetection);
-  c.optimized = tool.fault_simulate(tool.generate_patterns(res.probs, total, 6),
-                                    FaultSimMode::FirstDetection);
+  c.uniform = simulate(uniform_input_probs(net, 0.5));
+  c.optimized = simulate(res.probs);
   return c;
 }
 

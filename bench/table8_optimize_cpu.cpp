@@ -26,19 +26,20 @@ int main() {
   int row = 0;
   for (const std::string& name : circuits) {
     const Netlist net = make_circuit(name);
-    ProtestOptions popts;
+    SessionOptions popts;
     popts.universe = FaultUniverse::Collapsed;
     popts.estimator.maxvers = 2;  // cheap gradient config (see table5)
     popts.estimator.maxlist = 8;
     popts.estimator.max_candidates = 8;
-    const Protest tool(net, popts);
+    const AnalysisSession session(net, popts);
     HillClimbOptions opts;
     opts.max_sweeps = 2;  // bounded sweep budget for the big circuits
     HillClimbResult res;
-    const double secs =
-        bench::time_seconds([&] { res = tool.optimize(10'000, opts); });
-    const Protest full(net);
-    const auto pf = bench::detectable(full.analyze(res.probs).detection_probs);
+    const double secs = bench::time_seconds(
+        [&] { res = optimize_input_probs(session, 10'000, opts); });
+    AnalysisSession full(net);
+    const auto pf =
+        bench::detectable(full.analyze(res.probs).detection_probs());
     const std::uint64_t n = required_test_length(pf, 0.98, 0.95);
     t.add_row({name, fmt_int(transistor_count(net)),
                std::to_string(net.inputs().size()), bench::fmt_testlen(n),

@@ -12,23 +12,26 @@
 
 #include "analysis/table.hpp"
 #include "circuits/zoo.hpp"
+#include "optimize/hill_climb.hpp"
 #include "optimize/weighted_patterns.hpp"
-#include "protest/protest.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
 
 int main() {
   using namespace protest;
   const Netlist net = make_circuit("comp");
-  ProtestOptions popts;
+  SessionOptions popts;
   popts.universe = FaultUniverse::Collapsed;
-  const Protest tool(net, popts);
+  const AnalysisSession session(net, popts);
+  const std::vector<Fault>& faults = session.faults();
   std::printf("device under self-test: 24-bit cascaded comparator "
               "(%zu gates, %zu collapsed faults)\n",
-              net.num_gates(), tool.faults().size());
+              net.num_gates(), faults.size());
 
   // 1. PROTEST proposes per-input weights (hill climbing on J_N).
   HillClimbOptions hopts;
   hopts.max_sweeps = 4;
-  const HillClimbResult opt = tool.optimize(10'000, hopts);
+  const HillClimbResult opt = optimize_input_probs(session, 10'000, hopts);
   const auto weights = weights_from_probs(opt.probs, 16);
   std::printf("\noptimized weights (k of k/16):");
   for (std::size_t i = 0; i < weights.size(); ++i) {
@@ -47,10 +50,10 @@ int main() {
   // 3. Equal-budget shoot-out.
   TextTable t({"patterns", "BILBO coverage", "NLFSR coverage"});
   for (std::size_t budget : {1'000u, 4'000u, 12'000u}) {
-    const auto cov_b = tool.fault_simulate(bilbo.generate(budget),
-                                           FaultSimMode::FirstDetection);
-    const auto cov_n = tool.fault_simulate(nlfsr.generate(budget),
-                                           FaultSimMode::FirstDetection);
+    const auto cov_b = simulate_faults(net, faults, bilbo.generate(budget),
+                                       FaultSimMode::FirstDetection);
+    const auto cov_n = simulate_faults(net, faults, nlfsr.generate(budget),
+                                       FaultSimMode::FirstDetection);
     t.add_row({fmt_int(budget), fmt(100 * cov_b.coverage(), 1) + " %",
                fmt(100 * cov_n.coverage(), 1) + " %"});
   }

@@ -10,21 +10,24 @@
 #include "measures/scoap.hpp"
 #include "measures/stafan.hpp"
 #include "observe/miter.hpp"
-#include "protest/protest.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
 
 int main() {
   using namespace protest;
   const Netlist net = make_circuit("alu");
-  const Protest tool(net);
-  const auto& faults = tool.faults();
+  AnalysisSession session(net);
+  const auto& faults = session.faults();
 
   // Ground truth: exhaustive fault simulation (exact for 14 inputs).
   const PatternSet all = PatternSet::exhaustive(net.inputs().size());
   const auto psim =
-      tool.fault_simulate(all, FaultSimMode::CountDetections).detection_probs();
+      simulate_faults(net, faults, all, FaultSimMode::CountDetections)
+          .detection_probs();
 
   // Contenders.
-  const auto report = tool.analyze(uniform_input_probs(net, 0.5));
+  const AnalysisResult report = session.analyze(uniform_input_probs(net, 0.5));
+  const std::vector<double>& pprotest = report.detection_probs();
   const auto scoap = compute_scoap(net);
   const auto pscoap = pscoap_detection_probs(net, faults, scoap);
   const auto stafan = compute_stafan(
@@ -36,7 +39,7 @@ int main() {
     const ErrorStats s = compare_estimates(est, psim);
     t.add_row({name, fmt(s.correlation, 3), fmt(s.mean_abs_error, 3)});
   };
-  add("PROTEST estimate", report.detection_probs);
+  add("PROTEST estimate", pprotest);
   add("STAFAN [AgJa84]", pstafan);
   add("P_SCOAP [AgMe82]", pscoap);
   std::printf("SN74181 ALU, %zu faults, exhaustive P_SIM\n\n%s", faults.size(),
@@ -51,7 +54,7 @@ int main() {
     if (psim[i] <= 0.0 || psim[i] > 0.05) continue;  // the interesting tail
     ++shown;
     d.add_row({to_string(net, faults[i]), fmt(psim[i], 4),
-               fmt(report.detection_probs[i], 4), fmt(pstafan[i], 4),
+               fmt(pprotest[i], 4), fmt(pstafan[i], 4),
                fmt(pscoap[i], 4),
                fmt(exact_detection_prob_bdd(net, faults[i], ip), 4)});
   }

@@ -14,39 +14,44 @@
 
 #include "analysis/table.hpp"
 #include "circuits/zoo.hpp"
-#include "protest/protest.hpp"
+#include "optimize/hill_climb.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/pattern.hpp"
 #include "testlen/test_length.hpp"
 
 int main() {
   using namespace protest;
   const Netlist net = make_circuit("div");
-  ProtestOptions popts;
+  SessionOptions popts;
   popts.universe = FaultUniverse::Collapsed;
   popts.estimator.maxvers = 2;  // planning only needs coarse estimates
   popts.estimator.maxlist = 8;
-  const Protest tool(net, popts);
+  AnalysisSession session(net, popts);
+  const std::vector<Fault>& faults = session.faults();
   std::printf("target: 16-bit restoring divider (%zu gates, %zu faults)\n",
-              net.num_gates(), tool.faults().size());
+              net.num_gates(), faults.size());
 
   // Plan the random phase: predicted coverage after N uniform patterns.
-  const ProtestReport plan = tool.analyze(uniform_input_probs(net, 0.5));
+  const AnalysisResult plan = session.analyze(uniform_input_probs(net, 0.5));
   const std::size_t budget = 4'000;
   std::printf("\npredicted coverage after %zu uniform patterns: %.1f %%\n",
               budget,
-              100 * expected_coverage(plan.detection_probs, budget));
+              100 * expected_coverage(plan.detection_probs(), budget));
 
   // Optimized phase: same budget with PROTEST weights.
   HillClimbOptions hopts;
   hopts.max_sweeps = 3;
-  const HillClimbResult opt = tool.optimize(budget, hopts);
-  const ProtestReport plan_opt = tool.analyze(opt.probs);
+  const HillClimbResult opt = optimize_input_probs(session, budget, hopts);
+  const AnalysisResult plan_opt = session.analyze(opt.probs);
+  const std::vector<double>& pf_opt = plan_opt.detection_probs();
   std::printf("predicted coverage with optimized weights:  %.1f %%\n",
-              100 * expected_coverage(plan_opt.detection_probs, budget));
+              100 * expected_coverage(pf_opt, budget));
 
   // Execute both random phases.
   const auto run = [&](const std::vector<double>& probs) {
-    return tool.fault_simulate(tool.generate_patterns(probs, budget, 11),
-                               FaultSimMode::FirstDetection);
+    return simulate_faults(net, faults, PatternSet::weighted(probs, budget, 11),
+                           FaultSimMode::FirstDetection);
   };
   const FaultSimResult uniform = run(uniform_input_probs(net, 0.5));
   const FaultSimResult weighted = run(opt.probs);
@@ -65,15 +70,14 @@ int main() {
 
   // The deterministic phase gets the survivors, hardest first.
   std::vector<std::size_t> left;
-  for (std::size_t i = 0; i < tool.faults().size(); ++i)
+  for (std::size_t i = 0; i < faults.size(); ++i)
     if (weighted.first_detect[i] < 0) left.push_back(i);
   std::sort(left.begin(), left.end(), [&](std::size_t a, std::size_t b) {
-    return plan_opt.detection_probs[a] < plan_opt.detection_probs[b];
+    return pf_opt[a] < pf_opt[b];
   });
   std::printf("\nhardest survivors handed to the deterministic ATPG:\n");
   for (std::size_t i = 0; i < std::min<std::size_t>(8, left.size()); ++i)
     std::printf("  %-16s estimated P_detect = %.2e\n",
-                to_string(net, tool.faults()[left[i]]).c_str(),
-                plan_opt.detection_probs[left[i]]);
+                to_string(net, faults[left[i]]).c_str(), pf_opt[left[i]]);
   return 0;
 }

@@ -12,7 +12,9 @@
 #include "analysis/table.hpp"
 #include "circuits/iscas.hpp"
 #include "netlist/bench_io.hpp"
-#include "protest/protest.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/pattern.hpp"
 
 int main(int argc, char** argv) {
   using namespace protest;
@@ -23,37 +25,38 @@ int main(int argc, char** argv) {
               net.inputs().size(), net.outputs().size(), net.num_gates());
 
   // 1. Analyze: signal probabilities + detection probability per fault.
-  const Protest tool(net);
-  const ProtestReport report = tool.analyze(uniform_input_probs(net, 0.5));
+  AnalysisSession session(net);
+  const AnalysisResult report = session.analyze(uniform_input_probs(net, 0.5));
+  const std::vector<Fault>& faults = session.faults();
+  const std::vector<double>& pf = report.detection_probs();
 
   std::printf("\nsignal probabilities (p = 0.5 at every input):\n");
   for (NodeId n = 0; n < net.size(); ++n)
     if (!net.is_input(n))
       std::printf("  %-8s p1 = %.4f   observability = %.4f\n",
-                  net.name_of(n).c_str(), report.signal_probs[n],
-                  report.observability.stem[n]);
+                  net.name_of(n).c_str(), report.signal_probs()[n],
+                  report.observability().stem[n]);
 
   // 2. The hardest faults — the ones random test struggles with.
   std::printf("\nleast testable faults:\n");
-  std::vector<std::size_t> order(tool.faults().size());
+  std::vector<std::size_t> order(faults.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return report.detection_probs[a] < report.detection_probs[b];
-  });
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return pf[a] < pf[b]; });
   for (std::size_t i = 0; i < std::min<std::size_t>(5, order.size()); ++i)
     std::printf("  %-14s P_detect = %.4f\n",
-                to_string(net, tool.faults()[order[i]]).c_str(),
-                report.detection_probs[order[i]]);
+                to_string(net, faults[order[i]]).c_str(), pf[order[i]]);
 
   // 3. Test length for 98% of faults with 98% confidence (paper Table 2).
-  const std::uint64_t n = tool.test_length(report, 0.98, 0.98);
+  const std::uint64_t n = report.test_length(0.98, 0.98);
   std::printf("\nrequired random patterns (d = 0.98, e = 0.98): %s\n",
               fmt_int(n).c_str());
 
   // 4. Validate by static fault simulation, exactly like the paper.
-  const PatternSet ps = tool.generate_patterns(
-      report.input_probs, static_cast<std::size_t>(n), /*seed=*/1);
-  const FaultSimResult sim = tool.fault_simulate(ps, FaultSimMode::FirstDetection);
+  const PatternSet ps = PatternSet::weighted(
+      report.input_probs(), static_cast<std::size_t>(n), /*seed=*/1);
+  const FaultSimResult sim =
+      simulate_faults(net, faults, ps, FaultSimMode::FirstDetection);
   std::printf("simulated fault coverage with %s patterns: %.1f %%\n",
               fmt_int(n).c_str(), 100.0 * sim.coverage());
   return 0;

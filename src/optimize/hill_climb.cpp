@@ -137,4 +137,13 @@ HillClimbResult optimize_input_probs(const ObjectiveEvaluator& evaluator,
   return res;
 }
 
+HillClimbResult optimize_input_probs(const AnalysisSession& session,
+                                     std::uint64_t n_parameter,
+                                     HillClimbOptions opts) {
+  const SessionOptions& so = session.options();
+  const ObjectiveEvaluator eval(session.engine_ptr(), session.faults(),
+                                n_parameter, so.observability, so.parallel);
+  return optimize_input_probs(eval, opts);
+}
+
 }  // namespace protest

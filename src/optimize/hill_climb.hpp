@@ -36,4 +36,12 @@ struct HillClimbResult {
 HillClimbResult optimize_input_probs(const ObjectiveEvaluator& evaluator,
                                      HillClimbOptions opts = {});
 
+/// The same climb on J_N over a session's fault list, evaluated through
+/// the session's engine (its plan is built once for both), observability
+/// options and parallel configuration.  The session's own result cache is
+/// not touched.
+HillClimbResult optimize_input_probs(const AnalysisSession& session,
+                                     std::uint64_t n_parameter,
+                                     HillClimbOptions opts = {});
+
 }  // namespace protest

@@ -3,7 +3,7 @@
 // probabilities; the library also ships an independence propagation
 // (Agrawal), two exact oracles (BDD, enumeration) and a Monte-Carlo
 // reference.  SignalProbEngine gives all of them one API so that callers —
-// the Protest facade, the hill-climb objective, the CLI, the benches —
+// the analysis session, the hill-climb objective, the CLI, the benches —
 // can swap or cross-validate engines freely.
 //
 // Input validation (arity, range, finalized netlist) happens in the base

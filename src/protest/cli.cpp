@@ -1,11 +1,13 @@
 #include "protest/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -13,16 +15,16 @@
 #include "analysis/table.hpp"
 #include "circuits/zoo.hpp"
 #include "lint/lint.hpp"
-#include "netlist/bench_io.hpp"
-#include "netlist/dsl.hpp"
 #include "netlist/tech.hpp"
-#include "optimize/weighted_patterns.hpp"
+#include "optimize/hill_climb.hpp"
 #include "prob/engine.hpp"
-#include "protest/protest.hpp"
 #include "protest/service.hpp"
 #include "protest/session.hpp"
 #include "protest/supervisor.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/pattern.hpp"
 #include "sim/scan.hpp"
+#include "testlen/test_length.hpp"
 #include "util/cancel.hpp"
 #include "validate/fuzz.hpp"
 
@@ -121,6 +123,20 @@ AnalysisRequest parse_artifacts(const Args& a, double d, double e) {
   return req;
 }
 
+/// The value of an unsigned flag: decimal digits only (no sign, blank or
+/// exponent, so "-1" cannot wrap) and within [lo, hi], checked before the
+/// caller narrows it.
+std::uint64_t parse_unsigned(const std::string& flag, const std::string& text,
+                             std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || stop != end || ec != std::errc{} || v < lo || v > hi)
+    throw UsageError(flag + " must be an integer between " +
+                     std::to_string(lo) + " and " + std::to_string(hi));
+  return v;
+}
+
 Args parse_args(const std::vector<std::string>& argv) {
   if (argv.empty()) throw UsageError("missing command");
   Args a;
@@ -140,8 +156,14 @@ Args parse_args(const std::vector<std::string>& argv) {
     if (i >= argv.size()) throw UsageError("flag " + flag + " needs a value");
     return argv[i++];
   };
+  constexpr std::uint64_t kUint = std::numeric_limits<unsigned>::max();
+  constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kSize = std::numeric_limits<std::size_t>::max();
   while (i < argv.size()) {
     const std::string flag = argv[i++];
+    auto unsigned_value = [&](std::uint64_t lo, std::uint64_t hi) {
+      return parse_unsigned(flag, need_value(flag), lo, hi);
+    };
     try {
       if (flag == "--engine") { a.engine = need_value(flag); a.engine_set = true; }
       else if (flag == "--json") a.json = true;
@@ -149,10 +171,10 @@ Args parse_args(const std::vector<std::string>& argv) {
       else if (flag == "--p") { a.p = std::stod(need_value(flag)); a.query_flags.push_back(flag); }
       else if (flag == "--d") { a.d = std::stod(need_value(flag)); a.query_flags.push_back(flag); }
       else if (flag == "--e") { a.e = std::stod(need_value(flag)); a.query_flags.push_back(flag); }
-      else if (flag == "--n") { a.n = std::stoull(need_value(flag)); a.query_flags.push_back(flag); }
-      else if (flag == "--sweeps") { a.sweeps = static_cast<unsigned>(std::stoul(need_value(flag))); a.query_flags.push_back(flag); }
-      else if (flag == "--patterns") { a.patterns = std::stoull(need_value(flag)); a.query_flags.push_back(flag); }
-      else if (flag == "--seed") { a.seed = std::stoull(need_value(flag)); a.query_flags.push_back(flag); }
+      else if (flag == "--n") { a.n = unsigned_value(0, kU64); a.query_flags.push_back(flag); }
+      else if (flag == "--sweeps") { a.sweeps = static_cast<unsigned>(unsigned_value(0, kUint)); a.query_flags.push_back(flag); }
+      else if (flag == "--patterns") { a.patterns = unsigned_value(0, kSize); a.query_flags.push_back(flag); }
+      else if (flag == "--seed") { a.seed = unsigned_value(0, kU64); a.query_flags.push_back(flag); }
       else if (flag == "--faults") a.lint_faults = true;
       else if (flag == "--passes") {
         a.passes_set = true;
@@ -161,55 +183,30 @@ Args parse_args(const std::vector<std::string>& argv) {
         while (std::getline(ss, name, ',')) a.lint_passes.push_back(name);
       }
       else if (flag == "--threads") {
-        // Cap before narrowing: a 64-bit stoul result (incl. "-1" wrapping
-        // to ULONG_MAX) must not truncate to a small, silently-accepted
-        // worker count.
-        const unsigned long v = std::stoul(need_value(flag));
-        if (v > 1024)
-          throw UsageError("--threads must be between 0 (= all hardware "
-                           "threads) and 1024");
-        a.threads = static_cast<unsigned>(v);
+        // 0 = all hardware threads; each is a worker thread, so bounded.
+        a.threads = static_cast<unsigned>(unsigned_value(0, 1024));
         a.threads_set = true;
       }
-      else if (flag == "--cap") {
-        a.cap = std::stoull(need_value(flag));
-        a.cap_set = true;
-      }
+      else if (flag == "--cap") { a.cap = unsigned_value(0, kSize); a.cap_set = true; }
       else if (flag == "--port") {
-        const unsigned long v = std::stoul(need_value(flag));
-        if (v > 65535) throw UsageError("--port must be between 0 and 65535");
-        a.port = static_cast<unsigned>(v);
+        a.port = static_cast<unsigned>(unsigned_value(0, 65535));
         a.port_set = true;
       }
       else if (flag == "--inflight") {
-        // Same cap-before-narrowing discipline as --threads: each slot is
-        // a dispatch thread, so a wrapped "-1" must not be accepted.
-        const unsigned long v = std::stoul(need_value(flag));
-        if (v > 1024)
-          throw UsageError("--inflight must be between 0 (= serial "
-                           "dispatch) and 1024");
-        a.inflight = static_cast<std::size_t>(v);
+        // 0 = serial dispatch; each slot is a dispatch thread.
+        a.inflight = unsigned_value(0, 1024);
         a.inflight_set = true;
       }
       else if (flag == "--workers") {
-        const unsigned long v = std::stoul(need_value(flag));
-        if (v < 1 || v > 64)
-          throw UsageError("--workers must be between 1 and 64");
-        a.workers = static_cast<unsigned>(v);
+        a.workers = static_cast<unsigned>(unsigned_value(1, 64));
         a.workers_set = true;
       }
       else if (flag == "--heartbeat-ms") {
-        const unsigned long v = std::stoul(need_value(flag));
-        if (v < 10 || v > 600000)
-          throw UsageError("--heartbeat-ms must be between 10 and 600000");
-        a.heartbeat_ms = v;
+        a.heartbeat_ms = unsigned_value(10, 600000);
         a.heartbeat_set = true;
       }
       else if (flag == "--max-restarts") {
-        const unsigned long v = std::stoul(need_value(flag));
-        if (v > 1000)
-          throw UsageError("--max-restarts must be between 0 and 1000");
-        a.max_restarts = static_cast<unsigned>(v);
+        a.max_restarts = static_cast<unsigned>(unsigned_value(0, 1000));
         a.max_restarts_set = true;
       }
       else if (flag == "--fault-inject") {
@@ -218,10 +215,7 @@ Args parse_args(const std::vector<std::string>& argv) {
       }
       else if (flag == "--quick") a.quick = true;
       else if (flag == "--circuits") {
-        const unsigned long long v = std::stoull(need_value(flag));
-        if (v < 1 || v > 1'000'000)
-          throw UsageError("--circuits must be between 1 and 1000000");
-        a.circuits = static_cast<std::size_t>(v);
+        a.circuits = unsigned_value(1, 1'000'000);
         a.circuits_set = true;
       }
       else if (flag == "--alpha") {
@@ -235,14 +229,8 @@ Args parse_args(const std::vector<std::string>& argv) {
       else if (flag == "--inject") a.inject = true;
       else if (flag == "--data") { a.data_dir = need_value(flag); a.data_set = true; }
       else if (flag == "--deadline-ms") {
-        // The same guarded-integer discipline the wire protocol applies
-        // to deadline_ms: a wrapped negative or oversized value must not
-        // become a silently-accepted budget.
-        const unsigned long long v = std::stoull(need_value(flag));
-        if (v < 1 || v > 9007199254740992ull)
-          throw UsageError("--deadline-ms must be a positive integer "
-                           "(milliseconds)");
-        a.deadline_ms = v;
+        // The wire protocol's deadline_ms range (at most 2^53).
+        a.deadline_ms = unsigned_value(1, 9007199254740992ull);
         a.deadline_set = true;
       }
       else throw UsageError("unknown flag '" + flag + "'");
@@ -407,10 +395,7 @@ Netlist load_netlist(const std::string& path) {
   if (!f) throw UsageError("cannot open '" + path + "'");
   std::ostringstream ss;
   ss << f.rdbuf();
-  const std::string text = ss.str();
-  // DSL descriptions contain a 'module' definition; .bench never does.
-  if (text.find("module ") != std::string::npos) return elaborate_dsl(text);
-  return read_bench_string(text);
+  return netlist_from_text(ss.str());
 }
 
 void print_circuit_summary(std::ostream& out, const Netlist& net) {
@@ -439,24 +424,19 @@ void print_hard_faults(std::ostream& out, const AnalysisResult& result,
 }
 
 /// Shared by analyze and scan: one session query, JSON or text rendering.
-/// The session is leased from a service-layer registry — the same code
-/// path `protest serve` dispatches into — so the CLI is a one-shot client
-/// of the served API.
+/// The JSON document is the served analyze verb's result payload.
 int run_analysis(const Args& a, const Netlist& net, std::ostream& out,
                  const char* testlen_label) {
-  ProtestService service(service_config(a));
-  service.registry().register_external("cli", net, session_options(a));
-  const std::shared_ptr<AnalysisSession> session =
-      service.registry().open("cli");
+  AnalysisSession session(net, session_options(a));
   if (!a.json) {
     // Immediate feedback before the (potentially long) analysis.
     print_circuit_summary(out, net);
-    print_engine(out, *session);
+    print_engine(out, session);
   }
   const AnalysisRequest req = parse_artifacts(a, a.d, a.e);
   const std::optional<CancelScope> budget = deadline_scope(a);
   const AnalysisResult result =
-      session->analyze(uniform_input_probs(net, a.p), req);
+      session.analyze(uniform_input_probs(net, a.p), req);
   if (a.json) {
     out << result.to_json() << "\n";
     return 0;
@@ -480,26 +460,25 @@ int cmd_optimize(const Args& a, std::ostream& out) {
   const Netlist net = load_netlist(a.file);
   SessionOptions popts = session_options(a);
   popts.universe = FaultUniverse::Collapsed;
-  const Protest tool(net, popts);
+  AnalysisSession session(net, popts);
   if (!a.json) {
     // Immediate feedback before the (potentially long) hill climb.
     print_circuit_summary(out, net);
-    print_engine(out, tool.session());
+    print_engine(out, session);
   }
   HillClimbOptions opts;
   opts.max_sweeps = a.sweeps;
   const std::optional<CancelScope> budget = deadline_scope(a);
-  const HillClimbResult res = tool.optimize(a.n, opts);
+  const HillClimbResult res = optimize_input_probs(session, a.n, opts);
 
-  const auto before = tool.analyze(uniform_input_probs(net, 0.5));
-  const auto after = tool.analyze(res.probs);
-  const std::uint64_t n0 = tool.test_length(before, a.d, a.e);
-  const std::uint64_t n1 = tool.test_length(after, a.d, a.e);
+  const std::uint64_t n0 =
+      session.analyze(uniform_input_probs(net, 0.5)).test_length(a.d, a.e);
+  const std::uint64_t n1 = session.analyze(res.probs).test_length(a.d, a.e);
 
   if (a.json) {
     JsonWriter w;
     w.begin_object();
-    w.key("engine").value(tool.engine().name());
+    w.key("engine").value(session.engine().name());
     w.key("n_parameter").value(a.n);
     w.key("log_objective").value(res.log_objective);
     w.key("evaluations").value(res.evaluations);
@@ -541,13 +520,16 @@ int cmd_optimize(const Args& a, std::ostream& out) {
 int cmd_simulate(const Args& a, std::ostream& out) {
   const Netlist net = load_netlist(a.file);
   print_circuit_summary(out, net);
-  const Protest tool(net);
-  const PatternSet ps = tool.generate_patterns(
-      uniform_input_probs(net, a.p), a.patterns, a.seed);
-  const FaultSimResult res = tool.fault_simulate(ps, FaultSimMode::FirstDetection);
+  // No engine runs here: weighted patterns straight into the fault
+  // simulator, over the structural fault list analyze reports.
+  const std::vector<Fault> faults = structural_fault_list(net);
+  const PatternSet ps =
+      PatternSet::weighted(uniform_input_probs(net, a.p), a.patterns, a.seed);
+  const FaultSimResult res =
+      simulate_faults(net, faults, ps, FaultSimMode::FirstDetection);
   out << "fault coverage after " << fmt_int(a.patterns) << " patterns (p = "
       << fmt(a.p, 2) << "): " << fmt(100.0 * res.coverage(), 2) << " % of "
-      << tool.faults().size() << " faults\n";
+      << faults.size() << " faults\n";
   return 0;
 }
 

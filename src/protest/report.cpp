@@ -2,30 +2,25 @@
 
 #include <algorithm>
 #include <ostream>
-#include <span>
 #include <sstream>
 
 #include "analysis/table.hpp"
 #include "testlen/test_length.hpp"
 
 namespace protest {
-namespace {
 
-/// The shared renderer; both public entry points flatten to this view.
-void write_report_impl(std::ostream& out, const Netlist& net,
-                       std::span<const Fault> faults, const std::string& engine,
-                       std::span<const double> input_probs,
-                       std::span<const double> signal_probs,
-                       std::span<const double> stem_observability,
-                       std::span<const double> detection_probs,
-                       const ReportOptions& opts) {
+void write_report(std::ostream& out, const AnalysisResult& result,
+                  ReportOptions opts) {
+  const Netlist& net = result.netlist();
+  const std::vector<Fault>& faults = result.faults();
+  const std::vector<double>& input_probs = result.input_probs();
   out << "PROTEST testability report\n"
       << "==========================\n"
       << "circuit: " << net.inputs().size() << " inputs, "
       << net.outputs().size() << " outputs, " << net.num_gates() << " gates; "
       << faults.size() << " faults analyzed\n";
-  if (!engine.empty())
-    out << "signal-probability engine: " << engine << "\n";
+  if (!result.engine().empty())
+    out << "signal-probability engine: " << result.engine() << "\n";
 
   out << "\ninput signal probabilities:\n ";
   const auto inputs = net.inputs();
@@ -36,16 +31,18 @@ void write_report_impl(std::ostream& out, const Netlist& net,
   out << '\n';
 
   if (opts.signal_probabilities) {
+    const std::vector<double>& signal_probs = result.signal_probs();
+    const std::vector<double>& stem = result.observability().stem;
     out << "\nsignal probabilities and observabilities:\n";
     TextTable t({"node", "P(1)", "s(x)"});
     for (NodeId n = 0; n < net.size(); ++n) {
       if (net.is_input(n)) continue;
-      t.add_row({net.name_of(n), fmt(signal_probs[n], 4),
-                 fmt(stem_observability[n], 4)});
+      t.add_row({net.name_of(n), fmt(signal_probs[n], 4), fmt(stem[n], 4)});
     }
     out << t.str();
   }
 
+  const std::vector<double>& detection_probs = result.detection_probs();
   if (opts.fault_list) {
     out << "\nfault detection probabilities (hardest first):\n";
     std::vector<std::size_t> order(faults.size());
@@ -74,30 +71,6 @@ void write_report_impl(std::ostream& out, const Netlist& net,
                  n == kInfiniteTestLength ? "unreachable" : fmt_int(n)});
     }
   out << t.str();
-}
-
-}  // namespace
-
-void write_report(std::ostream& out, const Protest& tool,
-                  const ProtestReport& report, ReportOptions opts) {
-  write_report_impl(out, tool.netlist(), tool.faults(), report.engine,
-                    report.input_probs, report.signal_probs,
-                    report.observability.stem, report.detection_probs, opts);
-}
-
-std::string report_string(const Protest& tool, const ProtestReport& report,
-                          ReportOptions opts) {
-  std::ostringstream os;
-  write_report(os, tool, report, std::move(opts));
-  return os.str();
-}
-
-void write_report(std::ostream& out, const AnalysisResult& result,
-                  ReportOptions opts) {
-  write_report_impl(out, result.netlist(), result.faults(),
-                    std::string(result.engine()), result.input_probs(),
-                    result.signal_probs(), result.observability().stem,
-                    result.detection_probs(), opts);
 }
 
 std::string report_string(const AnalysisResult& result, ReportOptions opts) {

@@ -1,14 +1,15 @@
-// The tool's human-readable output — the deliverable list of sect. 1:
-// signal probability per node, detection probability per fault, required
-// pattern counts for a (d, e) grid, and (optionally) the optimized input
-// tuple.  Rendered as aligned text; CLI and bench consumers share it.
+// A plain-text rendering of one AnalysisResult — the deliverable list of
+// sect. 1: signal probability per node, detection probability per fault,
+// required pattern counts for a (d, e) grid.  Rendered as aligned tables;
+// the CLI prints its own shorter summary, so this is the library's
+// full-length text report for callers that hold a result.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "protest/protest.hpp"
+#include "protest/session.hpp"
 
 namespace protest {
 
@@ -23,15 +24,8 @@ struct ReportOptions {
   std::vector<double> e_grid = {0.95, 0.98, 0.999};
 };
 
-/// Writes the full testability report for one analysis run.
-void write_report(std::ostream& out, const Protest& tool,
-                  const ProtestReport& report, ReportOptions opts = {});
-
-std::string report_string(const Protest& tool, const ProtestReport& report,
-                          ReportOptions opts = {});
-
-/// Session-API equivalents: render an AnalysisResult (artifacts are
-/// computed lazily as the report needs them).
+/// Writes the full testability report for one analyzed tuple; the
+/// observability and detection probabilities are computed on first use.
 void write_report(std::ostream& out, const AnalysisResult& result,
                   ReportOptions opts = {});
 

@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <thread>
 
@@ -16,22 +17,21 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/dsl.hpp"
 #include "optimize/hill_climb.hpp"
-#include "optimize/objective.hpp"
 
 namespace protest {
 
 // --- the registry -----------------------------------------------------------
 
-/// The expensive resident state: for owned registrations the netlist copy
-/// the session was built on (sessions hold references, so the copy must
-/// live exactly as long as the session), plus the session itself.
-/// Held by shared_ptr and co-owned by every handed-out session pointer,
-/// so eviction can never pull state out from under an in-flight query.
+/// The expensive resident state: the session (engine plans, tuple cache,
+/// memoized artifacts) and a share of the registration's netlist, which
+/// the session reads by reference.  Held by shared_ptr and co-owned by
+/// every handed-out session pointer, so neither eviction nor a replacing
+/// registration can pull state out from under an in-flight query.
 struct SessionRegistry::Resident {
-  Resident(std::unique_ptr<Netlist> own, const Netlist* ext, SessionOptions o)
-      : owned(std::move(own)), session(owned ? *owned : *ext, std::move(o)) {}
+  Resident(std::shared_ptr<const Netlist> net, SessionOptions o)
+      : netlist(std::move(net)), session(*netlist, std::move(o)) {}
 
-  std::unique_ptr<Netlist> owned;  ///< null for external registrations
+  std::shared_ptr<const Netlist> netlist;
   AnalysisSession session;
 };
 
@@ -46,19 +46,11 @@ SessionRegistry::SessionRegistry(std::size_t max_resident,
 
 void SessionRegistry::register_netlist(std::string name, Netlist net,
                                        SessionOptions opts) {
+  auto shared = std::make_shared<const Netlist>(std::move(net));
   const std::lock_guard<std::mutex> lock(mu_);
   Entry& e = entries_[std::move(name)];
   e = Entry{};  // replacing a registration drops its resident session
-  e.prototype = std::move(net);
-  e.opts = std::move(opts);
-}
-
-void SessionRegistry::register_external(std::string name, const Netlist& net,
-                                        SessionOptions opts) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = entries_[std::move(name)];
-  e = Entry{};
-  e.external = &net;
+  e.netlist = std::move(shared);
   e.opts = std::move(opts);
 }
 
@@ -77,10 +69,7 @@ std::shared_ptr<AnalysisSession> SessionRegistry::open(
     // expensive per-netlist plans build lazily inside the session later.
     SessionOptions opts = e.opts;
     opts.parallel.executor = exec_;
-    std::unique_ptr<Netlist> own =
-        e.prototype ? std::make_unique<Netlist>(*e.prototype) : nullptr;
-    e.resident = std::make_shared<Resident>(std::move(own), e.external,
-                                            std::move(opts));
+    e.resident = std::make_shared<Resident>(e.netlist, std::move(opts));
     enforce_cap_locked(&e);
   }
   return lease(e.resident);
@@ -371,7 +360,13 @@ ServiceRequest ServiceRequest::from_json_value(const JsonValue& doc) {
       } else if (key == "n") {
         r.n_parameter = protocol_uint(v);
       } else if (key == "sweeps") {
-        r.sweeps = static_cast<unsigned>(protocol_uint(v));
+        // Checked before narrowing: 2^32 must not become 0 sweeps.
+        constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+        const std::uint64_t sweeps = protocol_uint(v);
+        if (sweeps > kMax)
+          throw std::runtime_error("expected an integer of at most " +
+                                   std::to_string(kMax));
+        r.sweeps = static_cast<unsigned>(sweeps);
       } else if (key == "request") {
         r.subrequest = std::make_shared<ServiceRequest>(from_json_value(v));
       } else if (key == "job") {
@@ -545,20 +540,13 @@ std::uint64_t require_job_id(const ServiceRequest& req) {
 }
 
 /// Builds lint options from a request: pass subset + the prob-bounds
-/// input probability.  Unknown pass names surface as bad_request.
+/// input probability.  run_lint rejects unknown pass names with
+/// std::invalid_argument, which handle() answers as bad_request.
 LintOptions lint_options_from(const ServiceRequest& req) {
   LintOptions opts;
   opts.passes = req.passes;
   opts.faults = req.faults;
   if (req.p) opts.p = *req.p;
-  const auto known = lint_pass_names();
-  for (const std::string& p : req.passes) {
-    if (std::find(known.begin(), known.end(), p) == known.end()) {
-      std::string msg = "unknown lint pass '" + p + "' (available:";
-      for (const std::string_view k : known) msg += " " + std::string(k);
-      throw ServiceError("bad_request", msg + ")");
-    }
-  }
   return opts;
 }
 
@@ -725,14 +713,11 @@ std::string ProtestService::dispatch(const ServiceRequest& req) {
       const std::shared_ptr<AnalysisSession> session =
           registry_.open(req.netlist);
       const std::uint64_t n_param = req.n_parameter.value_or(10'000);
-      // The climb shares the resident session's engine and its plan;
-      // concurrent analyze callers on the same netlist stay race-free.
-      const ObjectiveEvaluator eval(session->engine_ptr(), session->faults(),
-                                    n_param, session->options().observability,
-                                    session->options().parallel);
       HillClimbOptions opts;
       if (req.sweeps) opts.max_sweeps = *req.sweeps;
-      const HillClimbResult res = optimize_input_probs(eval, opts);
+      // The climb shares the resident session's engine and its plan;
+      // concurrent analyze callers on the same netlist stay race-free.
+      const HillClimbResult res = optimize_input_probs(*session, n_param, opts);
       JsonWriter w(0);
       w.begin_object();
       w.key("netlist").value(req.netlist);

@@ -86,13 +86,19 @@ class ServiceError : public std::runtime_error {
 /// Thread-safe map of caller-chosen names -> resident AnalysisSessions.
 ///
 /// A REGISTRATION (name, netlist, options) is cheap and persists until
-/// unregister(); a RESIDENT session (engine plans, tuple cache, memoized
-/// artifacts) is the expensive part and is bounded: at most max_resident
-/// sessions stay live, evicted least-recently-used.  open() revives an
-/// evicted name from its registration — the caches start cold, but the
-/// name keeps working.  Handed-out session pointers co-own the resident
-/// state, so eviction never invalidates a session another thread is
-/// mid-query on; it only drops the registry's reference.
+/// unregister() or a replacing register_netlist(); a RESIDENT session
+/// (engine plans, tuple cache, memoized artifacts) is the expensive part
+/// and is bounded: at most max_resident sessions stay live, evicted
+/// least-recently-used.  open() revives an evicted name from its
+/// registration — the caches start cold, but the name keeps working.
+///
+/// The registration owns its netlist through a shared_ptr<const Netlist>
+/// that every resident session of the name shares: a Netlist is immutable
+/// once finalized, so a revival reuses the same object instead of copying
+/// it.  Handed-out session pointers co-own the resident state, netlist
+/// included, so neither eviction nor a replacing registration ever
+/// invalidates a session another thread is mid-query on; they only drop
+/// the registry's reference.
 ///
 /// Every session opened here gets the registry's shared Executor injected
 /// (SessionOptions::parallel.executor), so N resident sessions share one
@@ -104,16 +110,10 @@ class SessionRegistry {
   explicit SessionRegistry(std::size_t max_resident = 8,
                            ParallelConfig parallel = {});
 
-  /// Registers (or replaces) `name` with an owned copy of the netlist.
+  /// Registers (or replaces) `name`, taking ownership of the netlist.
   /// Does not make it resident; the first open() does.
   void register_netlist(std::string name, Netlist net,
                         SessionOptions opts = {});
-
-  /// Registers `name` over a caller-owned netlist WITHOUT copying; `net`
-  /// must outlive the registry and every session opened under this name.
-  /// This is the in-process facade path.
-  void register_external(std::string name, const Netlist& net,
-                         SessionOptions opts = {});
 
   /// The resident session for `name`, reviving it from the registration
   /// if it was evicted (LRU-evicting another resident session beyond the
@@ -141,13 +141,10 @@ class SessionRegistry {
   const std::shared_ptr<Executor>& executor() const { return exec_; }
 
  private:
-  struct Resident;  ///< netlist copy + session (opaque; service.cpp)
+  struct Resident;  ///< session + its netlist reference (opaque; service.cpp)
 
   struct Entry {
-    /// Owned registrations keep a prototype to copy on revival; external
-    /// registrations keep the caller's pointer instead.
-    std::optional<Netlist> prototype;
-    const Netlist* external = nullptr;
+    std::shared_ptr<const Netlist> netlist;  ///< shared with every revival
     SessionOptions opts;
     std::shared_ptr<Resident> resident;  ///< null when evicted
     std::uint64_t last_use = 0;          ///< LRU clock value of last open
@@ -404,8 +401,9 @@ class ProtestService : public ServiceEndpoint {
   JobManager jobs_;
 };
 
-/// Auto-detects .bench vs module-DSL text (the CLI's file heuristic) and
-/// elaborates it.
+/// Auto-detects .bench vs module-DSL text (DSL descriptions contain a
+/// 'module' definition) and elaborates it.  The CLI's file loader and the
+/// load_netlist verb's `source` both read netlist text through it.
 Netlist netlist_from_text(const std::string& text);
 
 /// Front-end dispatch knobs (`protest serve --inflight N`).

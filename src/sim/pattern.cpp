@@ -2,14 +2,30 @@
 
 #include <random>
 #include <stdexcept>
+#include <string>
 
 namespace protest {
+namespace {
+
+/// num_inputs x num_blocks words, or std::length_error when that is more
+/// than a vector can hold (including products that would wrap).
+std::size_t checked_words(std::size_t num_inputs, std::size_t num_blocks) {
+  const std::size_t max = std::vector<std::uint64_t>().max_size();
+  if (num_blocks != 0 && num_inputs > max / num_blocks)
+    throw std::length_error("PatternSet: " + std::to_string(num_inputs) +
+                            " inputs x " + std::to_string(num_blocks) +
+                            " blocks of 64 patterns is too large");
+  return num_inputs * num_blocks;
+}
+
+}  // namespace
 
 PatternSet::PatternSet(std::size_t num_inputs, std::size_t num_patterns)
     : num_inputs_(num_inputs),
       num_patterns_(num_patterns),
-      num_blocks_((num_patterns + 63) / 64),
-      words_(num_inputs * num_blocks_, 0) {
+      // Rounded up; (num_patterns + 63) / 64 would wrap near SIZE_MAX.
+      num_blocks_(num_patterns / 64 + (num_patterns % 64 != 0)),
+      words_(checked_words(num_inputs, num_blocks_), 0) {
   if (num_patterns == 0)
     throw std::invalid_argument("PatternSet: need at least one pattern");
 }

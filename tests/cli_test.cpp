@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "circuits/iscas.hpp"
 #include "prob/engine.hpp"
@@ -37,6 +38,116 @@ CliRun cli(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = run_cli(args, out, err);
   return {code, out.str(), err.str()};
+}
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The stdout of one run of each analysis command, pinned byte for byte
+// (length + FNV-1a 64, recorded before the commands moved from the tool
+// facade onto AnalysisSession and the free functions).
+TEST(Cli, CommandOutputIsPinned) {
+  const struct {
+    std::vector<std::string> args;
+    std::size_t bytes;
+    std::uint64_t hash;
+  } pins[] = {
+      {{"analyze", "zoo:alu"}, 530, 0xa93db2b28aab98ffull},
+      {{"analyze", "zoo:c17", "--json"}, 3'361, 0x42fdc3647bf1d786ull},
+      {{"optimize", "zoo:c17", "--json", "--sweeps", "2"}, 468,
+       0x859881a2181cd077ull},
+      {{"simulate", "zoo:alu", "--patterns", "256"}, 134,
+       0x8ec830efbe072f53ull},
+  };
+  for (const auto& p : pins) {
+    const CliRun r = cli(p.args);
+    EXPECT_EQ(r.code, 0) << p.args[0] << ": " << r.err;
+    EXPECT_EQ(r.out.size(), p.bytes) << p.args[0] << ":\n" << r.out;
+    EXPECT_EQ(fnv1a64(r.out), p.hash) << p.args[0] << ":\n" << r.out;
+  }
+}
+
+// Every unsigned flag reads through one parser: decimal digits only, in
+// the flag's range, so a sign, a suffix or a value past the target type
+// is a usage error (2) instead of a wrapped or truncated number.
+TEST(Cli, UnsignedFlagExitCodes) {
+  const struct {
+    std::vector<std::string> args;
+    int code;
+  } cases[] = {
+      // --patterns: "-1" used to wrap to SIZE_MAX patterns.
+      {{"simulate", "zoo:c17", "--patterns", "-1"}, 2},
+      {{"simulate", "zoo:c17", "--patterns", "18446744073709551616"}, 2},
+      {{"simulate", "zoo:c17", "--patterns", "64x"}, 2},
+      {{"simulate", "zoo:c17", "--patterns", "+64"}, 2},
+      {{"simulate", "zoo:c17", "--patterns", ""}, 2},
+      {{"simulate", "zoo:c17", "--patterns", "64"}, 0},
+      // --seed spans uint64.
+      {{"simulate", "zoo:c17", "--patterns", "64", "--seed", "-1"}, 2},
+      {{"simulate", "zoo:c17", "--patterns", "64", "--seed",
+        "18446744073709551615"},
+       0},
+      // --sweeps: 2^32 used to truncate to 0 sweeps, "-1" to 2^32 - 1.
+      {{"optimize", "zoo:c17", "--sweeps", "4294967296"}, 2},
+      {{"optimize", "zoo:c17", "--sweeps", "-1"}, 2},
+      {{"optimize", "zoo:c17", "--sweeps", "0"}, 0},
+      // --n spans uint64.
+      {{"optimize", "zoo:c17", "--sweeps", "0", "--n", "-1"}, 2},
+      {{"optimize", "zoo:c17", "--sweeps", "0", "--n",
+        "18446744073709551616"},
+       2},
+      {{"optimize", "zoo:c17", "--sweeps", "0", "--n",
+        "18446744073709551615"},
+       0},
+      // --cap spans size_t.
+      {{"serve", "--cap", "-1"}, 2},
+      {{"serve", "--cap", "18446744073709551616"}, 2},
+      // The flags guarded before keep their bounds (the serve flags' are
+      // checked in ServeFlagValidation and SupervisedServeFlagValidation).
+      {{"analyze", "zoo:c17", "--threads", "1025"}, 2},
+      {{"analyze", "zoo:c17", "--threads", "1024x"}, 2},
+      {{"fuzz", "--circuits", "0"}, 2},
+      {{"fuzz", "--circuits", "1000001"}, 2},
+      {{"analyze", "zoo:c17", "--deadline-ms", "9007199254740993"}, 2},
+      {{"analyze", "zoo:c17", "--deadline-ms", "9007199254740992"}, 0},
+  };
+  for (const auto& c : cases) {
+    std::string line;
+    for (const std::string& arg : c.args) line += arg + ' ';
+    const CliRun r = cli(c.args);
+    EXPECT_EQ(r.code, c.code) << line << "\n" << r.err;
+    if (c.code == 2) {
+      EXPECT_NE(r.err.find("error:"), std::string::npos) << line;
+    }
+  }
+}
+
+TEST(Cli, OversizedPatternCountIsAnErrorNotACrash) {
+  // 128 inputs x 2^63 patterns: the pattern word count used to wrap to 0
+  // and weighted() wrote past the empty set.
+  std::string bench;
+  for (int i = 0; i < 128; ++i) bench += "INPUT(i" + std::to_string(i) + ")\n";
+  for (int k = 0; k < 64; ++k) {
+    bench += "OUTPUT(o" + std::to_string(k) + ")\n";
+    bench += "o" + std::to_string(k) + " = AND(i" + std::to_string(2 * k) +
+             ", i" + std::to_string(2 * k + 1) + ")\n";
+  }
+  const TempFile f("wide128.bench", bench);
+  const CliRun r =
+      cli({"simulate", f.path(), "--patterns", "9223372036854775808"});
+  EXPECT_EQ(r.code, 1) << r.err;
+  EXPECT_NE(r.err.find("error:"), std::string::npos) << r.err;
+  // SIZE_MAX patterns used to round up to an empty set.
+  const CliRun most =
+      cli({"simulate", "zoo:c17", "--patterns", "18446744073709551615"});
+  EXPECT_EQ(most.code, 1) << most.err;
+  EXPECT_NE(most.err.find("error:"), std::string::npos) << most.err;
 }
 
 TEST(Cli, HelpPrintsUsage) {

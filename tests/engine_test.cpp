@@ -14,7 +14,7 @@
 #include "netlist/builder.hpp"
 #include "prob/engine.hpp"
 #include "prob/naive.hpp"
-#include "protest/protest.hpp"
+#include "protest/session.hpp"
 #include "validate/stats.hpp"
 
 namespace protest {
@@ -183,27 +183,28 @@ TEST_P(EngineParity, AgreeOnReconvergenceFreeCircuits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineParity, ::testing::Range(1, 7));
 
-TEST(EngineBatch, FacadeAnalyzeBatchMatchesPerTupleAnalyze) {
-  // The facade's batched analysis runs session analyze() per tuple, so
-  // every report must equal its per-tuple analyze() bit for bit, for the
-  // PROTEST engine as for any other.
+TEST(EngineBatch, SessionAnalyzeBatchMatchesPerTupleAnalyze) {
+  // The session's batched analysis runs analyze() per tuple, so every
+  // result must equal a fresh session's per-tuple analyze() bit for bit,
+  // for the PROTEST engine as for any other.
   const Netlist net = make_c17();
   const std::vector<InputProbs> batch = {uniform_input_probs(net, 0.5),
                                          uniform_input_probs(net, 0.3),
                                          uniform_input_probs(net, 0.8)};
   for (const char* name : {"naive", "protest"}) {
-    ProtestOptions o;
+    SessionOptions o;
     o.engine = name;
-    const Protest tool(net, o);
-    const auto reports = tool.analyze_batch(batch);
-    ASSERT_EQ(reports.size(), batch.size()) << name;
+    AnalysisSession batched(net, o);
+    AnalysisSession single(net, o);
+    const std::vector<AnalysisResult> results = batched.analyze_batch(batch);
+    ASSERT_EQ(results.size(), batch.size()) << name;
     for (std::size_t t = 0; t < batch.size(); ++t) {
-      const auto want = tool.analyze(batch[t]);
-      EXPECT_EQ(reports[t].engine, name);
-      EXPECT_EQ(reports[t].input_probs, batch[t]);
-      EXPECT_EQ(reports[t].signal_probs, want.signal_probs)
+      const AnalysisResult want = single.analyze(batch[t]);
+      EXPECT_EQ(results[t].engine(), name);
+      EXPECT_EQ(results[t].input_probs(), batch[t]);
+      EXPECT_EQ(results[t].signal_probs(), want.signal_probs())
           << name << " tuple " << t;
-      EXPECT_EQ(reports[t].detection_probs, want.detection_probs)
+      EXPECT_EQ(results[t].detection_probs(), want.detection_probs())
           << name << " tuple " << t;
     }
   }

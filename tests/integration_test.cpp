@@ -11,7 +11,10 @@
 #include "analysis/stats.hpp"
 #include "circuits/zoo.hpp"
 #include "measures/scoap.hpp"
-#include "protest/protest.hpp"
+#include "optimize/hill_climb.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/pattern.hpp"
 #include "testlen/test_length.hpp"
 
 namespace protest {
@@ -19,22 +22,23 @@ namespace {
 
 TEST(PaperClaims, AluCorrelationAboveNinety) {
   const Netlist net = make_circuit("alu");
-  const Protest tool(net);
-  const auto report = tool.analyze(uniform_input_probs(net, 0.5));
+  AnalysisSession session(net);
+  const AnalysisResult report = session.analyze(uniform_input_probs(net, 0.5));
 
   // Exhaustive fault simulation: P_SIM is exact for the ALU (2^14 inputs).
   const PatternSet all = PatternSet::exhaustive(net.inputs().size());
-  const auto sim = tool.fault_simulate(all, FaultSimMode::CountDetections);
+  const auto sim = simulate_faults(net, session.faults(), all,
+                                   FaultSimMode::CountDetections);
   const auto psim = sim.detection_probs();
 
   const ErrorStats protest_stats =
-      compare_estimates(report.detection_probs, psim);
+      compare_estimates(report.detection_probs(), psim);
   EXPECT_GT(protest_stats.correlation, 0.9);  // the paper's claim
   EXPECT_LT(protest_stats.mean_abs_error, 0.08);
 
   // The SCOAP-derived baseline must correlate far worse ([AgMe82]: ~0.4).
   const auto scoap = compute_scoap(net);
-  const auto pscoap = pscoap_detection_probs(net, tool.faults(), scoap);
+  const auto pscoap = pscoap_detection_probs(net, session.faults(), scoap);
   const double c_scoap = pearson_correlation(pscoap, psim);
   EXPECT_LT(c_scoap, protest_stats.correlation - 0.15)
       << "PROTEST " << protest_stats.correlation << " vs SCOAP " << c_scoap;
@@ -42,12 +46,13 @@ TEST(PaperClaims, AluCorrelationAboveNinety) {
 
 TEST(PaperClaims, MultShowsUnderestimationBias) {
   const Netlist net = make_circuit("mult");
-  const Protest tool(net);
-  const auto report = tool.analyze(uniform_input_probs(net, 0.5));
+  AnalysisSession session(net);
+  const AnalysisResult report = session.analyze(uniform_input_probs(net, 0.5));
   const PatternSet ps = PatternSet::random(net.inputs().size(), 20'000, 77);
   const auto psim =
-      tool.fault_simulate(ps, FaultSimMode::CountDetections).detection_probs();
-  const ErrorStats s = compare_estimates(report.detection_probs, psim);
+      simulate_faults(net, session.faults(), ps, FaultSimMode::CountDetections)
+          .detection_probs();
+  const ErrorStats s = compare_estimates(report.detection_probs(), psim);
   EXPECT_GT(s.correlation, 0.85);
   // Fig. 6: "in general P_SIM is higher than P_PROT" — the signed error of
   // the estimate must be negative.
@@ -56,9 +61,9 @@ TEST(PaperClaims, MultShowsUnderestimationBias) {
 
 TEST(PaperClaims, AluTestLengthReachesFullCoverage) {
   const Netlist net = make_circuit("alu");
-  const Protest tool(net);
-  const auto report = tool.analyze(uniform_input_probs(net, 0.5));
-  const std::uint64_t n = tool.test_length(report, 0.98, 0.98);
+  AnalysisSession session(net);
+  const AnalysisResult report = session.analyze(uniform_input_probs(net, 0.5));
+  const std::uint64_t n = report.test_length(0.98, 0.98);
   ASSERT_NE(n, kInfiniteTestLength);
   // Table 2: a few hundred patterns.
   EXPECT_GT(n, 20u);
@@ -66,14 +71,17 @@ TEST(PaperClaims, AluTestLengthReachesFullCoverage) {
 
   // Validate like the paper: simulate a set of that size; nearly all
   // detectable faults must fall (99.9..100% in the paper).
-  const PatternSet ps = tool.generate_patterns(
-      report.input_probs, static_cast<std::size_t>(n), 2024);
-  const auto sim = tool.fault_simulate(ps, FaultSimMode::FirstDetection);
+  const std::vector<Fault>& faults = session.faults();
+  const PatternSet ps = PatternSet::weighted(
+      report.input_probs(), static_cast<std::size_t>(n), 2024);
+  const auto sim =
+      simulate_faults(net, faults, ps, FaultSimMode::FirstDetection);
   // Detectable = detected by exhaustive simulation.
   const PatternSet all = PatternSet::exhaustive(net.inputs().size());
-  const auto oracle = tool.fault_simulate(all, FaultSimMode::FirstDetection);
+  const auto oracle =
+      simulate_faults(net, faults, all, FaultSimMode::FirstDetection);
   std::size_t detectable = 0, detected = 0;
-  for (std::size_t i = 0; i < tool.faults().size(); ++i) {
+  for (std::size_t i = 0; i < faults.size(); ++i) {
     if (oracle.first_detect[i] < 0) continue;
     ++detectable;
     detected += sim.first_detect[i] >= 0;
@@ -88,21 +96,22 @@ TEST(PaperClaims, OptimizedPatternsDominateUniformOnComparator) {
   // optimized weighted set at the same pattern count (paper: 76.5% vs
   // 97.2% at 2000 patterns; our comparator is even more resistant).
   const Netlist net = make_circuit("comp");
-  ProtestOptions popts;
+  SessionOptions popts;
   popts.universe = FaultUniverse::Collapsed;
-  const Protest tool(net, popts);
+  const AnalysisSession session(net, popts);
 
   HillClimbOptions opts;
   opts.max_sweeps = 3;
-  const HillClimbResult opt = tool.optimize(2000, opts);
+  const HillClimbResult opt = optimize_input_probs(session, 2000, opts);
 
   const std::size_t budget = 2000;
-  const auto uniform = tool.fault_simulate(
-      tool.generate_patterns(uniform_input_probs(net, 0.5), budget, 5),
-      FaultSimMode::FirstDetection);
-  const auto weighted = tool.fault_simulate(
-      tool.generate_patterns(opt.probs, budget, 5),
-      FaultSimMode::FirstDetection);
+  auto simulate_with = [&](std::span<const double> probs) {
+    return simulate_faults(net, session.faults(),
+                           PatternSet::weighted(probs, budget, 5),
+                           FaultSimMode::FirstDetection);
+  };
+  const auto uniform = simulate_with(uniform_input_probs(net, 0.5));
+  const auto weighted = simulate_with(opt.probs);
   EXPECT_GT(weighted.coverage(), 0.90);
   EXPECT_GT(weighted.coverage(), uniform.coverage() + 0.20)
       << "uniform " << uniform.coverage() << " vs weighted "
@@ -117,15 +126,16 @@ TEST(PaperClaims, EstimatedTestLengthIsNotOverconfident) {
   // (the ALU's flattened carry lookahead contains redundant, untestable
   // faults for which no N exists).
   const Netlist net = make_circuit("alu");
-  const Protest tool(net);
-  const auto report = tool.analyze(uniform_input_probs(net, 0.5));
+  AnalysisSession session(net);
+  const AnalysisResult report = session.analyze(uniform_input_probs(net, 0.5));
   const PatternSet all = PatternSet::exhaustive(net.inputs().size());
   const auto psim =
-      tool.fault_simulate(all, FaultSimMode::CountDetections).detection_probs();
+      simulate_faults(net, session.faults(), all, FaultSimMode::CountDetections)
+          .detection_probs();
   std::vector<double> est_d, sim_d;
   for (std::size_t i = 0; i < psim.size(); ++i) {
     if (psim[i] <= 0.0) continue;
-    est_d.push_back(report.detection_probs[i]);
+    est_d.push_back(report.detection_probs()[i]);
     sim_d.push_back(psim[i]);
   }
   const std::uint64_t n_est = required_test_length(est_d, 1.0, 0.98);

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "netlist/bench_io.hpp"
-#include "protest/protest.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/pattern.hpp"
 #include "sim/scan.hpp"
 
 namespace protest {
@@ -70,13 +72,14 @@ TEST(Scan, FullProtestPipelineOnCore) {
   // The paper's whole premise: analyze the scan core like any
   // combinational circuit.
   const ScanDesign d = extract_scan_design(kCounter);
-  const Protest tool(d.comb);
-  const auto report = tool.analyze(uniform_input_probs(d.comb, 0.5));
-  const std::uint64_t n = tool.test_length(report, 1.0, 0.95);
+  AnalysisSession session(d.comb);
+  const AnalysisResult report =
+      session.analyze(uniform_input_probs(d.comb, 0.5));
+  const std::uint64_t n = report.test_length(1.0, 0.95);
   EXPECT_LT(n, 1'000u);
-  const auto sim = tool.fault_simulate(
-      tool.generate_patterns(report.input_probs, n, 1),
-      FaultSimMode::FirstDetection);
+  const PatternSet ps = PatternSet::weighted(report.input_probs(), n, 1);
+  const auto sim = simulate_faults(d.comb, session.faults(), ps,
+                                   FaultSimMode::FirstDetection);
   EXPECT_GT(sim.coverage(), 0.95);
 }
 

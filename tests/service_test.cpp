@@ -359,6 +359,28 @@ TEST(ServiceProtocol, OutOfRangeValuesYieldErrorsNotCrashes) {
   }
 }
 
+TEST(ServiceProtocol, SweepsBeyondUnsignedIsABadRequest) {
+  // Checked before narrowing: 2^32 sweeps must not run as 0, nor 2^32+1
+  // as 1.
+  ProtestService service;
+  ASSERT_TRUE(ServiceResponse::from_json(
+                  service.handle_line(R"({"verb":"load_netlist","id":1,)"
+                                      R"("netlist":"n","circuit":"c17"})"))
+                  .ok);
+  for (const char* sweeps : {"4294967296", "4294967297"}) {
+    const ServiceResponse resp = ServiceResponse::from_json(service.handle_line(
+        std::string(R"({"verb":"optimize","id":2,"netlist":"n","sweeps":)") +
+        sweeps + "}"));
+    EXPECT_FALSE(resp.ok) << sweeps;
+    EXPECT_EQ(resp.error_code, "bad_request") << sweeps;
+    EXPECT_NE(resp.error_message.find("sweeps"), std::string::npos)
+        << resp.error_message;
+  }
+  const ServiceRequest widest = ServiceRequest::from_json(
+      R"({"verb":"optimize","id":3,"netlist":"n","sweeps":4294967295})");
+  EXPECT_EQ(widest.sweeps, 4294967295u);
+}
+
 // --- the registry -----------------------------------------------------------
 
 TEST(SessionRegistry, CapEvictsLeastRecentlyUsed) {
@@ -421,17 +443,43 @@ TEST(SessionRegistry, UnknownNamesAndUnregister) {
 
 TEST(SessionRegistry, ResidentSessionsShareOneExecutor) {
   SessionRegistry registry(4, with_threads(2));
-  const Netlist external = make_circuit("c17");
   registry.register_netlist("a", make_circuit("c17"));
-  registry.register_external("b", external);
+  registry.register_netlist("b", make_circuit("c17"));
   const std::shared_ptr<AnalysisSession> a = registry.open("a");
   const std::shared_ptr<AnalysisSession> b = registry.open("b");
   ASSERT_NE(registry.executor(), nullptr);
   EXPECT_EQ(registry.executor()->num_workers(), 2u);
   EXPECT_EQ(a->options().parallel.executor, registry.executor());
   EXPECT_EQ(b->options().parallel.executor, registry.executor());
-  // External registration: no netlist copy, identity preserved.
-  EXPECT_EQ(&b->netlist(), &external);
+}
+
+TEST(SessionRegistry, RevivalSharesTheRegisteredNetlist) {
+  SessionRegistry registry(1, with_threads(1));
+  registry.register_netlist("x", make_circuit("c17"));
+  const Netlist* const registered = &registry.open("x")->netlist();
+
+  // Evicted by a second name, then revived: a new session on the same
+  // Netlist object, not on a copy of it.
+  registry.register_netlist("y", make_circuit("alu"));
+  registry.open("y");
+  ASSERT_EQ(registry.find_resident("x"), nullptr);
+  const std::shared_ptr<AnalysisSession> revived = registry.open("x");
+  EXPECT_EQ(&revived->netlist(), registered);
+  EXPECT_TRUE(registry.evict("x"));
+  EXPECT_EQ(&registry.open("x")->netlist(), registered);
+
+  // Replacing the registration leaves a lease taken before it on the old
+  // netlist, still queryable; the name now opens the new one.
+  const std::shared_ptr<AnalysisSession> old_lease = registry.open("x");
+  registry.register_netlist("x", make_circuit("alu"));
+  EXPECT_EQ(&old_lease->netlist(), registered);
+  EXPECT_EQ(old_lease->netlist().inputs().size(), 5u);
+  const AnalysisResult r =
+      old_lease->analyze(uniform_input_probs(old_lease->netlist(), 0.5));
+  EXPECT_EQ(r.signal_probs().size(), old_lease->netlist().size());
+  const std::shared_ptr<AnalysisSession> replaced = registry.open("x");
+  EXPECT_NE(&replaced->netlist(), registered);
+  EXPECT_EQ(replaced->netlist().inputs().size(), 14u);
 }
 
 // --- the acceptance conversation --------------------------------------------
@@ -692,6 +740,22 @@ TEST(ServiceAnalyze, ResponseLinesArePinned) {
     }
 }
 
+// The served optimize line on alu, pinned like the lines above (recorded
+// before the verb and the CLI's optimize shared one climb entry point).
+TEST(ServiceOptimize, ResponseLineIsPinned) {
+  constexpr const char* kOptimize =
+      R"({"verb":"optimize","id":2,"netlist":"n","sweeps":1})";
+  for (const unsigned threads : {1u, 4u}) {
+    ProtestService service(service_with_threads(threads));
+    ASSERT_TRUE(ServiceResponse::from_json(
+                    service.handle_line(load_line_for("alu")))
+                    .ok);
+    const std::string line = service.handle_line(kOptimize);
+    EXPECT_EQ(line.size(), 505u) << threads;
+    EXPECT_EQ(fnv1a64(line), 0x2668eb4e217cdbe9ull) << threads;
+  }
+}
+
 /// This process's thread count (the Threads: line of /proc/self/status),
 /// or 0 where that file does not exist.
 std::size_t process_threads() {
@@ -772,6 +836,17 @@ TEST(ServiceLint, UnknownPassIsABadRequest) {
       "\"passes\":[\"bogus\"]}"));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error_code, "bad_request");
+  EXPECT_NE(r.error_message.find("bogus"), std::string::npos);
+  // A strict load lints with the same pass list, so an unknown pass there
+  // is the same bad_request, and nothing is registered.
+  const ServiceResponse strict = ServiceResponse::from_json(service.handle_line(
+      "{\"verb\":\"load_netlist\",\"id\":3,\"netlist\":\"s\","
+      "\"circuit\":\"c17\",\"strict\":true,\"passes\":[\"bogus\"]}"));
+  EXPECT_FALSE(strict.ok);
+  EXPECT_EQ(strict.error_code, "bad_request");
+  EXPECT_NE(strict.error_message.find("bogus"), std::string::npos);
+  EXPECT_EQ(service.registry().registered_names(),
+            std::vector<std::string>{"alu"});
 }
 
 // --- async job verbs --------------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
+#include <stdexcept>
 
 #include "circuits/iscas.hpp"
 #include "circuits/random_circuit.hpp"
@@ -79,6 +81,22 @@ TEST(PatternSet, ExhaustiveCountsInOrder) {
   for (std::size_t p = 0; p < 8; ++p)
     for (std::size_t i = 0; i < 3; ++i)
       EXPECT_EQ(ps.get(p, i), bool((p >> i) & 1));
+}
+
+TEST(PatternSet, OversizedSetsThrowInsteadOfWrapping) {
+  // 2^63 patterns are 2^57 blocks; x 128 inputs the word count wraps to 0
+  // in 64 bits, which used to build an empty set that weighted() then
+  // wrote past.
+  const std::size_t two_63 = std::size_t{1} << 63;
+  EXPECT_THROW(PatternSet(128, two_63), std::length_error);
+  const std::vector<double> probs(128, 0.5);
+  EXPECT_THROW(PatternSet::weighted(probs, two_63, 1), std::length_error);
+  // SIZE_MAX patterns used to round up to 0 blocks.
+  const std::size_t most = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(PatternSet(5, most), std::length_error);
+  EXPECT_THROW(PatternSet(128, most), std::length_error);
+  // The last pattern count below a block boundary still rounds up.
+  EXPECT_EQ(PatternSet(1, 65).num_blocks(), 2u);
 }
 
 TEST(PatternSet, Validation) {

@@ -2,28 +2,30 @@
 #include <gtest/gtest.h>
 
 #include "circuits/iscas.hpp"
-#include "prob/naive.hpp"
-#include "protest/protest.hpp"
+#include "protest/session.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/pattern.hpp"
 
 namespace protest {
 namespace {
 
 TEST(Smoke, FullPipelineOnC17) {
   const Netlist net = make_c17();
-  const Protest tool(net);
-  const auto report = tool.analyze(uniform_input_probs(net, 0.5));
-  ASSERT_EQ(report.signal_probs.size(), net.size());
-  ASSERT_EQ(report.detection_probs.size(), tool.faults().size());
-  for (double p : report.signal_probs) {
+  AnalysisSession session(net);
+  const AnalysisResult report = session.analyze(uniform_input_probs(net, 0.5));
+  ASSERT_EQ(report.signal_probs().size(), net.size());
+  ASSERT_EQ(report.detection_probs().size(), session.faults().size());
+  for (double p : report.signal_probs()) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
-  const std::uint64_t n = tool.test_length(report, 1.0, 0.95);
+  const std::uint64_t n = report.test_length(1.0, 0.95);
   EXPECT_GT(n, 0u);
   EXPECT_LT(n, 10'000u);
 
-  const PatternSet ps = tool.generate_patterns(report.input_probs, 256, 42);
-  const FaultSimResult sim = tool.fault_simulate(ps, FaultSimMode::FirstDetection);
+  const PatternSet ps = PatternSet::weighted(report.input_probs(), 256, 42);
+  const FaultSimResult sim = simulate_faults(net, session.faults(), ps,
+                                             FaultSimMode::FirstDetection);
   EXPECT_GT(sim.coverage(), 0.95);
 }
 

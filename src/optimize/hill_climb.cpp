@@ -1,9 +1,9 @@
 #include "optimize/hill_climb.hpp"
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
 
+#include "analysis/json.hpp"
 #include "util/cancel.hpp"
 
 namespace protest {
@@ -23,7 +23,8 @@ struct Climber {
     return eval.log_objective(x);
   }
 
-  /// Climbs from `k` (grid indices per input); returns sweeps used.
+  /// Climbs from `k` (grid indices per input); returns the sweeps that
+  /// moved the point (HillClimbResult::sweeps).
   ///
   /// Each coordinate's neighborhood — the current point plus every
   /// in-range geometric step — goes through the evaluator's incremental
@@ -111,29 +112,11 @@ HillClimbResult optimize_input_probs(const ObjectiveEvaluator& evaluator,
 
   Climber climber{evaluator, opts};
   std::vector<int> k(ni, static_cast<int>(den) / 2);  // start at ~0.5
-  double best;
-  unsigned sweeps = climber.climb(k, best);
-  std::vector<int> best_k = k;
-  double best_obj = best;
-
-  std::mt19937_64 rng(opts.seed);
-  std::uniform_int_distribution<int> dist(1, static_cast<int>(den) - 1);
-  for (unsigned r = 0; r < opts.restarts; ++r) {
-    for (std::size_t i = 0; i < ni; ++i) k[i] = dist(rng);
-    double obj;
-    sweeps += climber.climb(k, obj);
-    if (obj > best_obj) {
-      best_obj = obj;
-      best_k = k;
-    }
-  }
-
   HillClimbResult res;
+  res.sweeps = climber.climb(k, res.log_objective);
   res.probs.resize(ni);
-  for (std::size_t i = 0; i < ni; ++i) res.probs[i] = grid_value(best_k[i], den);
-  res.log_objective = best_obj;
+  for (std::size_t i = 0; i < ni; ++i) res.probs[i] = grid_value(k[i], den);
   res.evaluations = climber.evaluations;
-  res.sweeps = sweeps;
   return res;
 }
 
@@ -144,6 +127,25 @@ HillClimbResult optimize_input_probs(const AnalysisSession& session,
   const ObjectiveEvaluator eval(session.engine_ptr(), session.faults(),
                                 n_parameter, so.observability, so.parallel);
   return optimize_input_probs(eval, opts);
+}
+
+void write_hill_climb(JsonWriter& w, const AnalysisSession& session,
+                      std::uint64_t n_parameter, const HillClimbResult& res) {
+  w.key("engine").value(session.engine().name());
+  w.key("n_parameter").value(n_parameter);
+  w.key("log_objective").value(res.log_objective);
+  w.key("evaluations").value(res.evaluations);
+  w.key("sweeps").value(static_cast<std::uint64_t>(res.sweeps));
+  w.key("optimized_probs").begin_array();
+  const Netlist& net = session.netlist();
+  const auto inputs = net.inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    w.begin_object();
+    w.key("input").value(net.name_of(inputs[i]));
+    w.key("p").value(res.probs[i]);
+    w.end_object();
+  }
+  w.end_array();
 }
 
 }  // namespace protest

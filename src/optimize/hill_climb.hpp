@@ -17,14 +17,16 @@ namespace protest {
 struct HillClimbOptions {
   unsigned grid_denominator = 16;  ///< probabilities are k/denominator
   unsigned max_sweeps = 32;        ///< safety bound on full sweeps
-  unsigned restarts = 0;           ///< extra random restarts
-  std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 };
 
 struct HillClimbResult {
   std::vector<double> probs;  ///< optimized input-probability tuple
   double log_objective = 0.0;
   std::size_t evaluations = 0;
+  /// The sweeps that moved the point.  The climb stops at the first sweep
+  /// that moves nothing and does not count it, so sweeps < max_sweeps
+  /// means the climb converged; sweeps == max_sweeps means it stopped at
+  /// the bound.
   unsigned sweeps = 0;
 };
 
@@ -43,5 +45,12 @@ HillClimbResult optimize_input_probs(const ObjectiveEvaluator& evaluator,
 HillClimbResult optimize_input_probs(const AnalysisSession& session,
                                      std::uint64_t n_parameter,
                                      HillClimbOptions opts = {});
+
+/// Writes a climb's members into the open object: engine, n_parameter,
+/// log_objective, evaluations, sweeps, then optimized_probs ({input, p}
+/// per primary input).  `protest optimize --json` and the service's
+/// optimize verb both write through it.
+void write_hill_climb(JsonWriter& w, const AnalysisSession& session,
+                      std::uint64_t n_parameter, const HillClimbResult& res);
 
 }  // namespace protest

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -34,10 +35,12 @@ namespace {
 struct Args {
   std::string command;
   std::string file;
+  /// The flags given, in order (names from kFlags below).
+  std::vector<std::string_view> given;
+  bool has(std::string_view flag) const {
+    return std::find(given.begin(), given.end(), flag) != given.end();
+  }
   std::string engine = "protest";
-  bool engine_set = false;
-  bool json = false;
-  bool artifacts_set = false;
   std::string artifacts;  ///< comma list for --artifacts
   double p = 0.5;
   double d = 0.98;
@@ -47,50 +50,28 @@ struct Args {
   std::size_t patterns = 1'000;
   std::uint64_t seed = 1;
   unsigned threads = 0;  ///< --threads: 0 = all hardware threads, 1 = serial
-  bool threads_set = false;
   std::size_t cap = 8;   ///< --cap: serve's resident-session bound
-  bool cap_set = false;
   unsigned port = 0;     ///< --port: serve over TCP instead of stdin/stdout
-  bool port_set = false;
   /// --inflight: serve's pipelined dispatch slots (0 = serial, the
   /// default; N = out-of-order responses with reads stalling at N).
   std::size_t inflight = 0;
-  bool inflight_set = false;
   /// --workers: supervised multi-process serve (crash-isolated worker
   /// processes behind a correlating router; protest/supervisor.hpp).
   unsigned workers = 0;
-  bool workers_set = false;
   std::uint64_t heartbeat_ms = 500;  ///< --heartbeat-ms: worker ping cadence
-  bool heartbeat_set = false;
   unsigned max_restarts = 5;  ///< --max-restarts: failures before abandon
-  bool max_restarts_set = false;
   std::string fault_spec;  ///< --fault-inject: deterministic fault script
-  bool fault_set = false;
   /// --deadline-ms: client-side wall-clock budget for analyze/optimize/
   /// scan — the work is cancelled at its next checkpoint past it.
   std::uint64_t deadline_ms = 0;
-  bool deadline_set = false;
-  /// Per-query value flags seen (--p/--d/--e/--n/--sweeps/--patterns/
-  /// --seed) — rejected by commands that would silently ignore them.
-  std::vector<std::string> query_flags;
-  /// --passes: comma list of lint pass ids (lint only; empty = all).
+  /// --passes: comma list of lint pass ids (empty = all).
   std::vector<std::string> lint_passes;
-  bool passes_set = false;
-  /// --faults: opt into the static fault-analysis passes (lint only).
-  bool lint_faults = false;
-  // fuzz-only flags (the differential validation harness, src/validate).
-  bool quick = false;            ///< --quick: the PR-gating smoke tier
+  // fuzz flags (the differential validation harness, src/validate).
   std::size_t circuits = 0;      ///< --circuits: random-circuit count
-  bool circuits_set = false;
   double alpha = 1e-6;           ///< --alpha: aggregate false-positive budget
-  bool alpha_set = false;
   std::string corpus_dir;        ///< --corpus: repro artifacts land here
-  bool corpus_set = false;
   std::string replay_file;       ///< --replay: re-run one repro artifact
-  bool replay_set = false;
-  bool inject = false;           ///< --inject: plant the deliberate bug
   std::string data_dir;          ///< --data: fixed .bench corpus directory
-  bool data_set = false;
 };
 
 class UsageError : public std::runtime_error {
@@ -105,7 +86,7 @@ AnalysisRequest parse_artifacts(const Args& a, double d, double e) {
   AnalysisRequest req;
   req.d_grid = {d};
   req.e_grid = {e};
-  if (!a.artifacts_set) {
+  if (!a.has("--artifacts")) {
     req.test_lengths = true;  // the CLI default: the classic report set
     return req;
   }
@@ -123,223 +104,206 @@ AnalysisRequest parse_artifacts(const Args& a, double d, double e) {
   return req;
 }
 
-/// The value of an unsigned flag: decimal digits only (no sign, blank or
-/// exponent, so "-1" cannot wrap) and within [lo, hi], checked before the
-/// caller narrows it.
-std::uint64_t parse_unsigned(const std::string& flag, const std::string& text,
-                             std::uint64_t lo, std::uint64_t hi) {
-  std::uint64_t v = 0;
-  const char* const end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || stop != end || ec != std::errc{} || v < lo || v > hi)
-    throw UsageError(flag + " must be an integer between " +
-                     std::to_string(lo) + " and " + std::to_string(hi));
-  return v;
-}
+/// One flag's value text, read through the flag's range check.
+struct FlagValue {
+  std::string_view flag;
+  const std::string& text;
+
+  /// Decimal digits only (no sign, blank or exponent, so "-1" cannot
+  /// wrap) and within [lo, hi], checked before the caller narrows it.
+  std::uint64_t integer(std::uint64_t lo, std::uint64_t hi) const {
+    std::uint64_t v = 0;
+    const char* const end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || stop != end || ec != std::errc{} || v < lo || v > hi)
+      throw UsageError(std::string(flag) + " must be an integer between " +
+                       std::to_string(lo) + " and " + std::to_string(hi));
+    return v;
+  }
+
+  /// The whole text is one finite number (std::from_chars: no blank,
+  /// suffix or locale) in [0,1], with 0 and 1 themselves allowed as marked
+  /// ("-0" is not, or the report would print it as -0.00).
+  double probability(bool zero_ok, bool one_ok) const {
+    double v = 0.0;
+    const char* const end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || stop != end || ec != std::errc{} ||
+        !(v >= 0.0 && v <= 1.0) || std::signbit(v) ||
+        (v == 0.0 && !zero_ok) || (v == 1.0 && !one_ok))
+      throw UsageError(std::string(flag) + " must be a number in " +
+                       (zero_ok ? "[0," : "(0,") + (one_ok ? "1]" : "1)"));
+    return v;
+  }
+};
+
+/// The commands, one bit each in FlagSpec::commands.
+enum : unsigned {
+  kAnalyze = 1u << 0,
+  kOptimize = 1u << 1,
+  kSimulate = 1u << 2,
+  kLint = 1u << 3,
+  kScan = 1u << 4,
+  kServe = 1u << 5,
+  kFuzz = 1u << 6,
+  kHelp = 1u << 7,
+  kServeWorker = 1u << 8,
+};
+
+struct CommandSpec {
+  std::string_view name;
+  unsigned bit;
+  bool file;  ///< takes a <file> operand
+};
+
+/// In synopsis order.  `__serve-worker` is the hidden child-process entry
+/// of the supervised serve (a single-process daemon on stdin/stdout,
+/// fault-armable from the environment); the synopsis leaves it out.
+constexpr CommandSpec kCommands[] = {
+    {"analyze", kAnalyze, true},   {"optimize", kOptimize, true},
+    {"simulate", kSimulate, true}, {"lint", kLint, true},
+    {"scan", kScan, true},         {"serve", kServe, false},
+    {"fuzz", kFuzz, false},        {"help", kHelp, false},
+    {"__serve-worker", kServeWorker, false},
+};
+
+/// One row per flag: the name of its value in the synopsis (empty for a
+/// switch), the commands that read it, and where its value goes (null for
+/// a switch, which Args::has answers).  A command given a flag it does not
+/// read is a usage error, never a silently ignored flag.
+struct FlagSpec {
+  std::string_view name;
+  std::string_view value;
+  unsigned commands;
+  void (*store)(Args&, FlagValue);
+};
+
+constexpr std::uint64_t kUint = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kSize = std::numeric_limits<std::size_t>::max();
+
+constexpr FlagSpec kFlags[] = {
+    {"--p", "P", kAnalyze | kScan | kSimulate | kLint,
+     [](Args& a, FlagValue v) { a.p = v.probability(true, true); }},
+    {"--d", "D", kAnalyze | kScan | kOptimize,
+     [](Args& a, FlagValue v) { a.d = v.probability(false, true); }},
+    {"--e", "E", kAnalyze | kScan | kOptimize,
+     [](Args& a, FlagValue v) { a.e = v.probability(false, false); }},
+    {"--n", "N", kOptimize,
+     [](Args& a, FlagValue v) { a.n = v.integer(0, kU64); }},
+    {"--sweeps", "S", kOptimize,
+     [](Args& a, FlagValue v) {
+       a.sweeps = static_cast<unsigned>(v.integer(0, kUint));
+     }},
+    {"--patterns", "N", kSimulate | kFuzz,
+     [](Args& a, FlagValue v) { a.patterns = v.integer(1, kSize); }},
+    // optimize reads --seed too: it seeds the monte-carlo engine.
+    {"--seed", "S", kAnalyze | kScan | kOptimize | kSimulate | kFuzz,
+     [](Args& a, FlagValue v) { a.seed = v.integer(0, kU64); }},
+    {"--engine", "NAME", kAnalyze | kScan | kOptimize,
+     [](Args& a, FlagValue v) { a.engine = v.text; }},
+    {"--json", "", kAnalyze | kScan | kOptimize | kLint | kFuzz, nullptr},
+    {"--artifacts", "LIST", kAnalyze | kScan,
+     [](Args& a, FlagValue v) { a.artifacts = v.text; }},
+    // 0 = all hardware threads; each is a worker thread, so bounded.
+    {"--threads", "T",
+     kAnalyze | kScan | kOptimize | kServe | kServeWorker | kFuzz,
+     [](Args& a, FlagValue v) {
+       a.threads = static_cast<unsigned>(v.integer(0, 1024));
+     }},
+    // The wire protocol's deadline_ms range (at most 2^53).
+    {"--deadline-ms", "MS", kAnalyze | kScan | kOptimize,
+     [](Args& a, FlagValue v) {
+       a.deadline_ms = v.integer(1, 9007199254740992ull);
+     }},
+    {"--passes", "LIST", kLint,
+     [](Args& a, FlagValue v) {
+       std::stringstream ss(v.text);
+       std::string name;
+       while (std::getline(ss, name, ',')) a.lint_passes.push_back(name);
+     }},
+    {"--faults", "", kLint, nullptr},
+    {"--cap", "N", kServe | kServeWorker,
+     [](Args& a, FlagValue v) { a.cap = v.integer(0, kSize); }},
+    // 0 = serial dispatch; each slot is a dispatch thread.
+    {"--inflight", "N", kServe | kServeWorker,
+     [](Args& a, FlagValue v) { a.inflight = v.integer(0, 1024); }},
+    {"--port", "PORT", kServe,
+     [](Args& a, FlagValue v) {
+       a.port = static_cast<unsigned>(v.integer(0, 65535));
+     }},
+    {"--workers", "N", kServe,
+     [](Args& a, FlagValue v) {
+       a.workers = static_cast<unsigned>(v.integer(1, 64));
+     }},
+    {"--heartbeat-ms", "MS", kServe,
+     [](Args& a, FlagValue v) { a.heartbeat_ms = v.integer(10, 600000); }},
+    {"--max-restarts", "N", kServe,
+     [](Args& a, FlagValue v) {
+       a.max_restarts = static_cast<unsigned>(v.integer(0, 1000));
+     }},
+    {"--fault-inject", "SPEC", kServe,
+     [](Args& a, FlagValue v) { a.fault_spec = v.text; }},
+    {"--quick", "", kFuzz, nullptr},
+    {"--circuits", "N", kFuzz,
+     [](Args& a, FlagValue v) { a.circuits = v.integer(1, 1'000'000); }},
+    {"--alpha", "A", kFuzz,
+     [](Args& a, FlagValue v) { a.alpha = v.probability(false, false); }},
+    {"--data", "DIR", kFuzz,
+     [](Args& a, FlagValue v) { a.data_dir = v.text; }},
+    {"--corpus", "DIR", kFuzz,
+     [](Args& a, FlagValue v) { a.corpus_dir = v.text; }},
+    {"--inject", "", kFuzz, nullptr},
+    {"--replay", "FILE", kFuzz,
+     [](Args& a, FlagValue v) { a.replay_file = v.text; }},
+};
 
 Args parse_args(const std::vector<std::string>& argv) {
   if (argv.empty()) throw UsageError("missing command");
   Args a;
   a.command = argv[0];
+  const auto cmd = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const CommandSpec& c) { return c.name == a.command; });
+  if (cmd == std::end(kCommands))
+    throw UsageError("unknown command '" + a.command + "'");
   std::size_t i = 1;
-  // `__serve-worker` is the hidden child-process entry of the supervised
-  // serve: a single-process daemon on stdin/stdout, fault-armable from
-  // the environment.  It takes flags like serve, never a file.
-  const bool is_serve = a.command == "serve" || a.command == "__serve-worker";
-  // fuzz generates its own circuits (plus the --data corpus); no <file>.
-  const bool is_fuzz = a.command == "fuzz";
-  if (a.command != "help" && !is_serve && !is_fuzz) {
+  if (cmd->file) {
     if (i >= argv.size()) throw UsageError("missing <file> argument");
     a.file = argv[i++];
   }
-  auto need_value = [&](const std::string& flag) -> std::string {
-    if (i >= argv.size()) throw UsageError("flag " + flag + " needs a value");
-    return argv[i++];
-  };
-  constexpr std::uint64_t kUint = std::numeric_limits<unsigned>::max();
-  constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
-  constexpr std::uint64_t kSize = std::numeric_limits<std::size_t>::max();
   while (i < argv.size()) {
-    const std::string flag = argv[i++];
-    auto unsigned_value = [&](std::uint64_t lo, std::uint64_t hi) {
-      return parse_unsigned(flag, need_value(flag), lo, hi);
-    };
-    try {
-      if (flag == "--engine") { a.engine = need_value(flag); a.engine_set = true; }
-      else if (flag == "--json") a.json = true;
-      else if (flag == "--artifacts") { a.artifacts = need_value(flag); a.artifacts_set = true; }
-      else if (flag == "--p") { a.p = std::stod(need_value(flag)); a.query_flags.push_back(flag); }
-      else if (flag == "--d") { a.d = std::stod(need_value(flag)); a.query_flags.push_back(flag); }
-      else if (flag == "--e") { a.e = std::stod(need_value(flag)); a.query_flags.push_back(flag); }
-      else if (flag == "--n") { a.n = unsigned_value(0, kU64); a.query_flags.push_back(flag); }
-      else if (flag == "--sweeps") { a.sweeps = static_cast<unsigned>(unsigned_value(0, kUint)); a.query_flags.push_back(flag); }
-      else if (flag == "--patterns") { a.patterns = unsigned_value(0, kSize); a.query_flags.push_back(flag); }
-      else if (flag == "--seed") { a.seed = unsigned_value(0, kU64); a.query_flags.push_back(flag); }
-      else if (flag == "--faults") a.lint_faults = true;
-      else if (flag == "--passes") {
-        a.passes_set = true;
-        std::stringstream ss(need_value(flag));
-        std::string name;
-        while (std::getline(ss, name, ',')) a.lint_passes.push_back(name);
-      }
-      else if (flag == "--threads") {
-        // 0 = all hardware threads; each is a worker thread, so bounded.
-        a.threads = static_cast<unsigned>(unsigned_value(0, 1024));
-        a.threads_set = true;
-      }
-      else if (flag == "--cap") { a.cap = unsigned_value(0, kSize); a.cap_set = true; }
-      else if (flag == "--port") {
-        a.port = static_cast<unsigned>(unsigned_value(0, 65535));
-        a.port_set = true;
-      }
-      else if (flag == "--inflight") {
-        // 0 = serial dispatch; each slot is a dispatch thread.
-        a.inflight = unsigned_value(0, 1024);
-        a.inflight_set = true;
-      }
-      else if (flag == "--workers") {
-        a.workers = static_cast<unsigned>(unsigned_value(1, 64));
-        a.workers_set = true;
-      }
-      else if (flag == "--heartbeat-ms") {
-        a.heartbeat_ms = unsigned_value(10, 600000);
-        a.heartbeat_set = true;
-      }
-      else if (flag == "--max-restarts") {
-        a.max_restarts = static_cast<unsigned>(unsigned_value(0, 1000));
-        a.max_restarts_set = true;
-      }
-      else if (flag == "--fault-inject") {
-        a.fault_spec = need_value(flag);
-        a.fault_set = true;
-      }
-      else if (flag == "--quick") a.quick = true;
-      else if (flag == "--circuits") {
-        a.circuits = unsigned_value(1, 1'000'000);
-        a.circuits_set = true;
-      }
-      else if (flag == "--alpha") {
-        a.alpha = std::stod(need_value(flag));
-        if (!(a.alpha > 0.0) || !(a.alpha < 1.0))
-          throw UsageError("--alpha must be strictly between 0 and 1");
-        a.alpha_set = true;
-      }
-      else if (flag == "--corpus") { a.corpus_dir = need_value(flag); a.corpus_set = true; }
-      else if (flag == "--replay") { a.replay_file = need_value(flag); a.replay_set = true; }
-      else if (flag == "--inject") a.inject = true;
-      else if (flag == "--data") { a.data_dir = need_value(flag); a.data_set = true; }
-      else if (flag == "--deadline-ms") {
-        // The wire protocol's deadline_ms range (at most 2^53).
-        a.deadline_ms = unsigned_value(1, 9007199254740992ull);
-        a.deadline_set = true;
-      }
-      else throw UsageError("unknown flag '" + flag + "'");
-    } catch (const std::invalid_argument&) {
-      throw UsageError("bad value for flag " + flag);
-    } catch (const std::out_of_range&) {
-      throw UsageError("bad value for flag " + flag);
-    }
+    const std::string& flag = argv[i++];
+    const auto spec =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const FlagSpec& f) { return f.name == flag; });
+    if (spec == std::end(kFlags))
+      throw UsageError("unknown flag '" + flag + "'");
+    if ((spec->commands & cmd->bit) == 0)
+      throw UsageError(flag + " is not valid for '" + a.command + "'");
+    a.given.push_back(spec->name);
+    if (!spec->store) continue;
+    if (i >= argv.size()) throw UsageError("flag " + flag + " needs a value");
+    spec->store(a, FlagValue{spec->name, argv[i++]});
   }
-  // simulate runs weighted patterns through the fault simulator and never
-  // evaluates a probability engine; accepting these flags there would
-  // silently ignore them.
-  if (a.command == "simulate") {
-    if (a.engine_set) throw UsageError("--engine is not valid for 'simulate'");
-    if (a.json) throw UsageError("--json is not valid for 'simulate'");
-    if (a.artifacts_set)
-      throw UsageError("--artifacts is not valid for 'simulate'");
-    if (a.threads_set)
-      throw UsageError("--threads is not valid for 'simulate'");
-  }
-  if (a.artifacts_set && a.command == "optimize")
-    throw UsageError("--artifacts is not valid for 'optimize'");
-  // lint never runs an engine or the analysis pipeline; only --p (the
-  // prob-bounds input probability), --json, and --passes apply.
-  if (a.command == "lint") {
-    if (a.engine_set)
-      throw UsageError("--engine is not valid for 'lint' (the static "
-                       "passes are engine-independent)");
-    if (a.artifacts_set) throw UsageError("--artifacts is not valid for 'lint'");
-    if (a.threads_set) throw UsageError("--threads is not valid for 'lint'");
-    for (const std::string& f : a.query_flags)
-      if (f != "--p") throw UsageError(f + " is not valid for 'lint'");
-    const auto known = lint_pass_names();
-    for (const std::string& p : a.lint_passes) {
-      if (std::find(known.begin(), known.end(), p) == known.end()) {
-        std::string msg = "unknown lint pass '" + p + "' (available:";
-        for (const std::string_view k : known) msg += " " + std::string(k);
-        throw UsageError(msg + ")");
-      }
-    }
-  } else if (a.passes_set) {
-    throw UsageError("--passes is only valid for 'lint'");
-  } else if (a.lint_faults) {
-    throw UsageError("--faults is only valid for 'lint'");
-  }
-  // fuzz runs EVERY engine by design and derives its tolerances from the
-  // statistical oracle — flags that would pick one engine or hand-tune a
-  // comparison are rejected, not silently ignored.
-  if (is_fuzz) {
-    if (a.engine_set)
-      throw UsageError("--engine is not valid for 'fuzz' (the harness runs "
-                       "every registered engine)");
-    if (a.artifacts_set) throw UsageError("--artifacts is not valid for 'fuzz'");
-    for (const std::string& f : a.query_flags)
-      if (f != "--seed" && f != "--patterns")
-        throw UsageError(f + " is not valid for 'fuzz'");
-    if (a.deadline_set)
-      throw UsageError("--deadline-ms is not valid for 'fuzz'");
-    if (a.replay_set &&
-        (a.quick || a.circuits_set || a.alpha_set || a.inject || a.data_set))
-      throw UsageError("--replay re-runs the artifact's own spec; it takes "
-                       "no grid flags");
-  } else if (a.quick || a.circuits_set || a.alpha_set || a.corpus_set ||
-             a.replay_set || a.inject || a.data_set) {
-    throw UsageError("--quick/--circuits/--alpha/--corpus/--replay/--inject/"
-                     "--data are only valid for 'fuzz'");
-  }
-  // serve speaks the JSON protocol by construction and loads netlists per
-  // request; every per-query flag would be silently ignored, so all of
-  // them are rejected, not just the tracked boolean ones.
-  if (is_serve) {
-    if (a.engine_set) throw UsageError("--engine is not valid for 'serve' "
-                                       "(pick the engine per load_netlist "
-                                       "request)");
-    if (a.json) throw UsageError("--json is not valid for 'serve'");
-    if (a.artifacts_set)
-      throw UsageError("--artifacts is not valid for 'serve'");
-    if (!a.query_flags.empty())
-      throw UsageError(a.query_flags.front() +
-                       " is not valid for 'serve' (per-query values travel "
-                       "in the JSON requests)");
-    if (a.deadline_set)
-      throw UsageError("--deadline-ms is not valid for 'serve' (deadlines "
-                       "travel per request as the deadline_ms member)");
-  } else if (a.cap_set || a.port_set || a.inflight_set) {
-    throw UsageError("--cap/--port/--inflight are only valid for 'serve'");
-  }
-  // Supervision flags configure the router, which only `serve` runs — a
-  // worker child is itself single-process (its faults arrive via env).
-  if (a.command != "serve" &&
-      (a.workers_set || a.heartbeat_set || a.max_restarts_set || a.fault_set))
-    throw UsageError("--workers/--heartbeat-ms/--max-restarts/"
-                     "--fault-inject are only valid for 'serve'");
-  if ((a.heartbeat_set || a.max_restarts_set) && !a.workers_set)
+  // The text report has a fixed layout; accepting --artifacts there would
+  // compute the extra artifacts and then silently not print them.
+  if (a.has("--artifacts") && !a.has("--json"))
+    throw UsageError("--artifacts requires --json");
+  if ((a.has("--heartbeat-ms") || a.has("--max-restarts")) &&
+      !a.has("--workers"))
     throw UsageError("--heartbeat-ms/--max-restarts need --workers "
                      "(supervised serve)");
   // The TCP loop has no in-process injector (one shared by its connection
   // threads would race), so the spec would be accepted and never fire.
-  if (a.fault_set && a.port_set && !a.workers_set)
+  if (a.has("--fault-inject") && a.has("--port") && !a.has("--workers"))
     throw UsageError("--fault-inject with --port needs --workers (supervised "
                      "serve); in-process injection serves stdin/stdout only");
-  if (a.deadline_set && a.command != "analyze" && a.command != "optimize" &&
-      a.command != "scan")
-    throw UsageError("--deadline-ms is only valid for "
-                     "'analyze'/'optimize'/'scan'");
-  // The text report has a fixed layout; accepting --artifacts there would
-  // compute the extra artifacts and then silently not print them.
-  if (a.artifacts_set && !a.json)
-    throw UsageError("--artifacts requires --json");
+  if (a.has("--replay"))
+    for (const std::string_view f : a.given)
+      if (f != "--replay" && f != "--json")
+        throw UsageError("--replay re-runs the artifact's own spec; " +
+                         std::string(f) + " is not valid with it");
   const auto engines = engine_names();
   if (std::find(engines.begin(), engines.end(), a.engine) == engines.end()) {
     // Exit status 2 with the registered names on stderr — never a raw
@@ -347,6 +311,14 @@ Args parse_args(const std::vector<std::string>& argv) {
     std::string msg = "unknown engine '" + a.engine + "' (available:";
     for (const std::string& n : engines) msg += " " + n;
     throw UsageError(msg + ")");
+  }
+  const auto known = lint_pass_names();
+  for (const std::string& p : a.lint_passes) {
+    if (std::find(known.begin(), known.end(), p) == known.end()) {
+      std::string msg = "unknown lint pass '" + p + "' (available:";
+      for (const std::string_view k : known) msg += " " + std::string(k);
+      throw UsageError(msg + ")");
+    }
   }
   return a;
 }
@@ -372,13 +344,12 @@ ServiceConfig service_config(const Args& a) {
 /// coordinates) then throw OperationCancelled(DeadlineExceeded) past it,
 /// which run_cli turns into a structured exit.
 std::optional<CancelScope> deadline_scope(const Args& a) {
-  if (!a.deadline_set) return std::nullopt;
+  if (!a.has("--deadline-ms")) return std::nullopt;
   return std::optional<CancelScope>(
       std::in_place,
       CancelToken::with_deadline(
           current_cancel_token(),
-          std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(a.deadline_ms)));
+          deadline_after(std::chrono::milliseconds(a.deadline_ms))));
 }
 
 Netlist load_netlist(const std::string& path) {
@@ -428,7 +399,7 @@ void print_hard_faults(std::ostream& out, const AnalysisResult& result,
 int run_analysis(const Args& a, const Netlist& net, std::ostream& out,
                  const char* testlen_label) {
   AnalysisSession session(net, session_options(a));
-  if (!a.json) {
+  if (!a.has("--json")) {
     // Immediate feedback before the (potentially long) analysis.
     print_circuit_summary(out, net);
     print_engine(out, session);
@@ -437,7 +408,7 @@ int run_analysis(const Args& a, const Netlist& net, std::ostream& out,
   const std::optional<CancelScope> budget = deadline_scope(a);
   const AnalysisResult result =
       session.analyze(uniform_input_probs(net, a.p), req);
-  if (a.json) {
+  if (a.has("--json")) {
     out << result.to_json() << "\n";
     return 0;
   }
@@ -461,7 +432,7 @@ int cmd_optimize(const Args& a, std::ostream& out) {
   SessionOptions popts = session_options(a);
   popts.universe = FaultUniverse::Collapsed;
   AnalysisSession session(net, popts);
-  if (!a.json) {
+  if (!a.has("--json")) {
     // Immediate feedback before the (potentially long) hill climb.
     print_circuit_summary(out, net);
     print_engine(out, session);
@@ -475,23 +446,10 @@ int cmd_optimize(const Args& a, std::ostream& out) {
       session.analyze(uniform_input_probs(net, 0.5)).test_length(a.d, a.e);
   const std::uint64_t n1 = session.analyze(res.probs).test_length(a.d, a.e);
 
-  if (a.json) {
+  if (a.has("--json")) {
     JsonWriter w;
     w.begin_object();
-    w.key("engine").value(session.engine().name());
-    w.key("n_parameter").value(a.n);
-    w.key("log_objective").value(res.log_objective);
-    w.key("evaluations").value(res.evaluations);
-    w.key("sweeps").value(static_cast<std::uint64_t>(res.sweeps));
-    w.key("optimized_probs").begin_array();
-    const auto inputs = net.inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      w.begin_object();
-      w.key("input").value(net.name_of(inputs[i]));
-      w.key("p").value(res.probs[i]);
-      w.end_object();
-    }
-    w.end_array();
+    write_hill_climb(w, session, a.n, res);
     w.key("test_length").begin_object();
     w.key("d").value(a.d);
     w.key("e").value(a.e);
@@ -539,9 +497,9 @@ int cmd_lint(const Args& a, std::ostream& out) {
   LintOptions opts;
   opts.p = a.p;
   opts.passes = a.lint_passes;
-  opts.faults = a.lint_faults;
+  opts.faults = a.has("--faults");
   const LintReport report = run_lint(net, opts);
-  if (a.json) {
+  if (a.has("--json")) {
     out << report.to_json() << "\n";
   } else {
     print_circuit_summary(out, net);
@@ -553,26 +511,25 @@ int cmd_lint(const Args& a, std::ostream& out) {
 
 int cmd_serve(const Args& a, std::istream& in, std::ostream& out,
               std::ostream& err) {
-  ServeOptions serve_opts;
-  serve_opts.max_inflight = a.inflight;
+  const ServeOptions serve_opts{a.inflight};
   // --workers: supervised multi-process serving — the endpoint becomes a
   // router over crash-isolated worker processes instead of an in-process
   // service.  Both speak ServiceEndpoint, so the front ends don't care.
-  if (a.workers_set) {
+  if (a.has("--workers")) {
     if (!supervisor_supported())
       throw UsageError("--workers is not supported on this platform "
                        "(no POSIX pipes/process spawning)");
     SupervisorOptions sup;
     sup.workers = a.workers;
     sup.max_restarts = a.max_restarts;
-    if (a.heartbeat_set) {
+    if (a.has("--heartbeat-ms")) {
       sup.heartbeat_interval = std::chrono::milliseconds(a.heartbeat_ms);
       sup.heartbeat_timeout = 5 * sup.heartbeat_interval;
     }
     // Workers keep pipelined lanes even when the front end is serial, so
     // heartbeats answer while a long Monte-Carlo runs.
     sup.worker_inflight = std::max<std::size_t>(a.inflight, 4);
-    if (a.fault_set) {
+    if (a.has("--fault-inject")) {
       try {
         FaultInjector::parse(a.fault_spec);  // surface typos before spawning
       } catch (const std::invalid_argument& e) {
@@ -583,12 +540,12 @@ int cmd_serve(const Args& a, std::istream& in, std::ostream& out,
     // Workers inherit the registry/threading shape of this serve.
     sup.worker_args.push_back("--cap");
     sup.worker_args.push_back(std::to_string(a.cap));
-    if (a.threads_set) {
+    if (a.has("--threads")) {
       sup.worker_args.push_back("--threads");
       sup.worker_args.push_back(std::to_string(a.threads));
     }
     Supervisor supervisor(sup, err);
-    if (a.port_set) {
+    if (a.has("--port")) {
       if (!tcp_serve_supported())
         throw UsageError("--port is not supported on this platform "
                          "(no POSIX sockets); use stdin/stdout mode");
@@ -601,15 +558,14 @@ int cmd_serve(const Args& a, std::istream& in, std::ostream& out,
   // --fault-inject without --workers arms the injector in-process: the
   // deterministic fault scripts are testable against a plain daemon too.
   FaultInjector injector;
-  if (a.fault_set) {
+  if (a.has("--fault-inject")) {
     try {
       injector = FaultInjector::parse(a.fault_spec);
     } catch (const std::invalid_argument& e) {
       throw UsageError(e.what());
     }
-    serve_opts.injector = &injector;
   }
-  if (a.port_set) {
+  if (a.has("--port")) {
     if (!tcp_serve_supported())
       throw UsageError("--port is not supported on this platform "
                        "(no POSIX sockets); use stdin/stdout mode");
@@ -618,7 +574,7 @@ int cmd_serve(const Args& a, std::istream& in, std::ostream& out,
   }
   // NDJSON over stdin/stdout: requests in, responses out, diagnostics on
   // stderr only (stdout must stay machine-parseable).
-  return serve_ndjson(service, in, out, serve_opts);
+  return serve_ndjson(service, in, out, serve_opts, &injector);
 }
 
 /// The hidden child-process entry behind `serve --workers`: a plain
@@ -629,15 +585,12 @@ int cmd_serve(const Args& a, std::istream& in, std::ostream& out,
 int cmd_serve_worker(const Args& a, std::istream& in, std::ostream& out) {
   ProtestService service(service_config(a));
   FaultInjector injector = FaultInjector::from_env();
-  ServeOptions serve_opts;
-  serve_opts.max_inflight = a.inflight;
-  serve_opts.injector = injector.armed() ? &injector : nullptr;
-  return serve_ndjson(service, in, out, serve_opts);
+  return serve_ndjson(service, in, out, ServeOptions{a.inflight}, &injector);
 }
 
 void print_fuzz_report(const Args& a, const validate::FuzzReport& report,
                        std::ostream& out) {
-  if (a.json) {
+  if (a.has("--json")) {
     JsonWriter w;
     w.begin_object();
     w.key("circuits").value(report.circuits);
@@ -672,29 +625,28 @@ void print_fuzz_report(const Args& a, const validate::FuzzReport& report,
 /// matrix, 1 on any disagreement, 2 on usage errors — so CI can gate on
 /// it directly and `--inject` proves the non-zero path end to end.
 int cmd_fuzz(const Args& a, std::ostream& out, std::ostream& err) {
-  if (a.replay_set) {
+  if (a.has("--replay")) {
     const validate::FuzzReport report =
         validate::run_replay(a.replay_file, &err);
     print_fuzz_report(a, report, out);
     return report.ok() ? 0 : 1;
   }
   validate::FuzzOptions opts;
-  opts.num_circuits = a.circuits_set ? a.circuits : (a.quick ? 50 : 200);
+  const bool quick = a.has("--quick");
+  opts.num_circuits = a.has("--circuits") ? a.circuits : (quick ? 50 : 200);
   opts.seed = a.seed;
   // --patterns rides the shared flag; the fuzz default is sized so the
   // Hoeffding tolerances stay meaningful at the aggregate alpha.
-  const bool patterns_set =
-      std::find(a.query_flags.begin(), a.query_flags.end(), "--patterns") !=
-      a.query_flags.end();
-  opts.mc_patterns = patterns_set ? a.patterns : (a.quick ? 8'192 : 32'768);
+  opts.mc_patterns =
+      a.has("--patterns") ? a.patterns : (quick ? 8'192 : 32'768);
   opts.aggregate_alpha = a.alpha;
-  opts.threads = a.threads_set && a.threads >= 1 ? a.threads : 2;
+  opts.threads = a.has("--threads") && a.threads >= 1 ? a.threads : 2;
   opts.corpus_dir = a.corpus_dir;
-  opts.inject_disagreement = a.inject;
+  opts.inject_disagreement = a.has("--inject");
   // Fixed-seed real circuits: --data DIR, defaulting to $PROTEST_DATA
   // (the path the test harness exports); absent/empty = generated only.
   std::string data = a.data_dir;
-  if (!a.data_set) {
+  if (!a.has("--data")) {
     if (const char* env = std::getenv("PROTEST_DATA")) data = env;
   }
   if (!data.empty() && std::filesystem::is_directory(data)) {
@@ -716,7 +668,7 @@ int cmd_scan(const Args& a, std::ostream& out) {
   std::ostringstream ss;
   ss << f.rdbuf();
   const ScanDesign design = extract_scan_design(ss.str());
-  if (!a.json) {
+  if (!a.has("--json")) {
     out << "scan extraction: " << design.num_flops() << " scan cells, "
         << design.num_primary_inputs << " primary inputs, "
         << design.num_primary_outputs << " primary outputs\n";
@@ -724,32 +676,35 @@ int cmd_scan(const Args& a, std::ostream& out) {
   return run_analysis(a, design.comb, out, "scan-test length");
 }
 
+/// The synopsis, one entry per command wrapped at 78 columns, printed
+/// from kCommands and kFlags (CI checks the README's CLI block against it).
+void print_synopsis(std::ostream& out) {
+  for (const CommandSpec& c : kCommands) {
+    if (c.name.starts_with("__")) continue;
+    std::string line = "protest " + std::string(c.name);
+    line.resize(16, ' ');
+    line += c.file ? " <file>" : "       ";
+    for (const FlagSpec& f : kFlags) {
+      if ((f.commands & c.bit) == 0) continue;
+      std::string item = " [" + std::string(f.name);
+      if (!f.value.empty()) item += " " + std::string(f.value);
+      item += "]";
+      if (line.size() + item.size() > 78) {
+        out << "  " << line << "\n";
+        line.assign(23, ' ');
+      }
+      line += item;
+    }
+    line.erase(line.find_last_not_of(' ') + 1);
+    out << "  " << line << "\n";
+  }
+}
+
 void print_help(std::ostream& out) {
   out << "protest — probabilistic testability analysis (Wunderlich, DAC'85)\n"
-         "\n"
-         "  protest analyze  <file> [--p P] [--d D] [--e E] [--engine E]\n"
-         "                          [--json] [--artifacts LIST] [--threads T]\n"
-         "                          [--deadline-ms MS]\n"
-         "  protest optimize <file> [--n N] [--sweeps S] [--d D] [--e E] "
-         "[--engine E] [--json]\n"
-         "                          [--threads T] [--deadline-ms MS]\n"
-         "  protest simulate <file> --patterns N [--p P] [--seed S]\n"
-         "  protest lint     <file> [--p P] [--passes LIST] [--faults] "
-         "[--json]\n"
-         "  protest scan     <file> [--p P] [--d D] [--e E] [--engine E]\n"
-         "                          [--json] [--artifacts LIST] [--threads T]\n"
-         "                          [--deadline-ms MS]\n"
-         "  protest serve           [--cap N] [--threads T] [--port P] "
-         "[--inflight N]\n"
-         "                          [--workers N] [--heartbeat-ms MS] "
-         "[--max-restarts N]\n"
-         "                          [--fault-inject SPEC]\n"
-         "  protest fuzz            [--quick] [--circuits N] [--seed S]\n"
-         "                          [--patterns N] [--alpha A] [--threads T]\n"
-         "                          [--data DIR] [--corpus DIR] [--inject]\n"
-         "                          [--replay FILE] [--json]\n"
-         "  protest help\n"
-         "\n"
+         "\n";
+  print_synopsis(out);
+  out << "\n"
          "<file>: .bench netlist or module DSL (auto-detected), or\n"
          "zoo:<name> for a built-in circuit (c17, alu, ..., stress100k).\n"
          "lint runs the static analyzer (passes: unused-net, dead-gate,\n"
@@ -765,10 +720,10 @@ void print_help(std::ostream& out) {
          "1 = serial.  Results are bit-identical for every thread count.\n"
          "--json emits the analysis result as JSON instead of text.\n"
          "--artifacts (with --json) is a comma list choosing what to\n"
-         "compute/serialize:\n"
-         "signal_probs, observability, detection_probs, test_lengths,\n"
-         "scoap, stafan (default: observability, detection_probs,\n"
-         "test_lengths).\n"
+         "compute/serialize (default: observability, detection_probs,\n"
+         "test_lengths), from:\n"
+      << known_artifact_names()
+      << "\n"
          "serve runs the resident-session daemon: newline-delimited JSON\n"
          "requests on stdin (or TCP with --port), one response line each;\n"
          "--cap bounds resident sessions (LRU-evicted, default 8), and\n"

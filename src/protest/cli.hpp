@@ -1,20 +1,15 @@
 // The PROTEST command-line front end (the "CAD tool" shape of sect. 7),
 // factored as a library function so tests can drive it directly.
 //
-//   protest analyze  <file> [--p P] [--d D] [--e E]
-//   protest optimize <file> [--n N] [--sweeps S]
-//   protest simulate <file> --patterns N [--p P] [--seed S]
-//   protest scan     <file>
-//   protest serve           [--cap N] [--threads T] [--port P]
-//   protest help
-//
-// analyze/scan lease their session from a service-layer registry
-// (protest/service.hpp) — the same dispatch path the `serve` daemon
-// exposes over NDJSON; `serve` reads requests from stdin (responses on
-// `out`) unless --port selects the TCP front end.
+// `protest help` prints the synopsis, generated from the flag table in
+// cli.cpp: one row per flag naming the commands that read it, so a flag
+// a command does not read is a usage error (exit 2), never ignored.
+// analyze, optimize and scan each hold one AnalysisSession
+// (protest/session.hpp); `serve` reads NDJSON requests from stdin
+// (responses on `out`) unless --port selects the TCP front end.
 //
 // <file> is a .bench netlist or a DSL description (auto-detected by the
-// presence of a 'module' definition).
+// presence of a 'module' definition), or zoo:<name> for a built-in circuit.
 #pragma once
 
 #include <iosfwd>

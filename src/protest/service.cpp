@@ -721,21 +721,7 @@ std::string ProtestService::dispatch(const ServiceRequest& req) {
       JsonWriter w(0);
       w.begin_object();
       w.key("netlist").value(req.netlist);
-      w.key("engine").value(session->engine().name());
-      w.key("n_parameter").value(n_param);
-      w.key("log_objective").value(res.log_objective);
-      w.key("evaluations").value(res.evaluations);
-      w.key("sweeps").value(static_cast<std::uint64_t>(res.sweeps));
-      w.key("optimized_probs").begin_array();
-      const Netlist& net = session->netlist();
-      const auto inputs = net.inputs();
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        w.begin_object();
-        w.key("input").value(net.name_of(inputs[i]));
-        w.key("p").value(res.probs[i]);
-        w.end_object();
-      }
-      w.end_array();
+      write_hill_climb(w, *session, n_param, res);
       w.end_object();
       return w.str();
     }
@@ -889,8 +875,7 @@ ServiceResponse ProtestService::handle(const ServiceRequest& request) {
   if (request.deadline_ms) {
     deadline_scope.emplace(CancelToken::with_deadline(
         current_cancel_token(),
-        std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(*request.deadline_ms)));
+        deadline_after(std::chrono::milliseconds(*request.deadline_ms))));
   }
   try {
     return ServiceResponse::success(request, dispatch(request));
@@ -1122,7 +1107,7 @@ bool apply_fault(FaultInjector* injector, const DecodedLine& line,
 void ignore_sigpipe();
 
 int serve_ndjson(ServiceEndpoint& service, std::istream& in, std::ostream& out,
-                 ServeOptions options) {
+                 ServeOptions options, FaultInjector* injector) {
   ignore_sigpipe();
   LineDispatcher dispatcher(service, options.max_inflight,
                             [&out](const std::string& response) {
@@ -1134,7 +1119,7 @@ int serve_ndjson(ServiceEndpoint& service, std::istream& in, std::ostream& out,
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
     DecodedLine request = decode_line(line);
-    if (apply_fault(options.injector, request, dispatcher)) continue;
+    if (apply_fault(injector, request, dispatcher)) continue;
     if (!dispatcher.dispatch(std::move(request))) break;  // downstream closed
     if (service.shutdown_requested()) break;
   }

@@ -426,13 +426,6 @@ struct ServeOptions {
   /// the same thing pipelined as serial.  Lines that name no verb answer
   /// inline.
   std::size_t max_inflight = 0;
-
-  /// Deterministic fault injection (protest/fault_inject.hpp), consulted
-  /// by serve_ndjson once per received request line BEFORE dispatch.
-  /// Null = no faults.
-  /// This is how `protest __serve-worker` arms PROTEST_FAULT_INJECT; the
-  /// pointer must outlive the serve call.
-  FaultInjector* injector = nullptr;
 };
 
 /// The daemon loop: reads one request per line from `in` (blank lines are
@@ -441,9 +434,13 @@ struct ServeOptions {
 /// pipe closed — SIGPIPE is ignored on POSIX so the write fails instead
 /// of killing the process), or a shutdown verb was handled.  With
 /// options.max_inflight > 0, work-verb responses may return out of order
-/// (see ServeOptions).
+/// (see ServeOptions).  A non-null `injector` (protest/fault_inject.hpp) is
+/// consulted once per received request line BEFORE dispatch; this is how
+/// `protest __serve-worker` arms PROTEST_FAULT_INJECT.  It must outlive
+/// the call.  serve_tcp takes none: one injector shared by its connection
+/// threads would race.
 int serve_ndjson(ServiceEndpoint& service, std::istream& in, std::ostream& out,
-                 ServeOptions options = {});
+                 ServeOptions options = {}, FaultInjector* injector = nullptr);
 
 /// True when this build can serve TCP (POSIX sockets).
 bool tcp_serve_supported();

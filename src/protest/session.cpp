@@ -37,6 +37,18 @@ std::shared_ptr<const SignalProbEngine> make_session_engine(
   return make_engine(opts.engine, net, cfg);
 }
 
+/// Resolves the executor once and hands it to both the engine and the
+/// session: a Monte-Carlo engine given only the thread count would start a
+/// second pool beside the session's.
+AnalysisSession make_session(const Netlist& net, SessionOptions opts) {
+  opts.parallel.executor = make_executor(opts.parallel);
+  std::shared_ptr<const SignalProbEngine> engine =
+      make_session_engine(net, opts);
+  std::vector<Fault> faults = make_fault_list(net, opts.universe);
+  return AnalysisSession(net, std::move(engine), std::move(faults),
+                         std::move(opts));
+}
+
 }  // namespace
 
 void SessionStats::write(JsonWriter& w) const {
@@ -588,8 +600,7 @@ class AnalysisSession::ResultCache {
 // --- AnalysisSession --------------------------------------------------------
 
 AnalysisSession::AnalysisSession(const Netlist& net, SessionOptions opts)
-    : AnalysisSession(net, make_session_engine(net, opts),
-                      make_fault_list(net, opts.universe), opts) {}
+    : AnalysisSession(make_session(net, std::move(opts))) {}
 
 AnalysisSession::AnalysisSession(
     const Netlist& net, std::shared_ptr<const SignalProbEngine> engine,

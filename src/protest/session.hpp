@@ -93,7 +93,8 @@ struct SessionOptions {
   /// Worker count for everything the session parallelizes: the sharded
   /// Monte-Carlo engine (when engine == "monte-carlo"), the
   /// perturb_screen_sweep neighborhood fan-out, the fault_bounds sweep and
-  /// the serialization of arrays longer than one JsonWriter chunk.
+  /// the serialization of arrays longer than one JsonWriter chunk, all on
+  /// one executor (the injected one, or one private pool per session).
   /// Results are bit-identical for every value; 1 is the serial path.
   ParallelConfig parallel;
 };

@@ -741,8 +741,8 @@ struct Supervisor::Impl {
 
   std::optional<Clock::time_point> backstop_of(const ServiceRequest& req) {
     if (!req.deadline_ms) return std::nullopt;
-    return Clock::now() + std::chrono::milliseconds(*req.deadline_ms) +
-           opts.deadline_grace;
+    return deadline_after(std::chrono::milliseconds(*req.deadline_ms) +
+                          opts.deadline_grace);
   }
 
   /// The client's copy of an Ok forward: the worker line with the

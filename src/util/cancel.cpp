@@ -53,4 +53,14 @@ const CancelToken& current_cancel_token() { return tl_current_token; }
 
 void check_cancelled() { tl_current_token.check(); }
 
+std::chrono::steady_clock::time_point deadline_after(
+    std::chrono::milliseconds budget) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  if (budget >= std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Clock::time_point::max() - now))
+    return Clock::time_point::max();
+  return now + budget;
+}
+
 }  // namespace protest

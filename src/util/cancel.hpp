@@ -156,4 +156,11 @@ const CancelToken& current_cancel_token();
 /// null-pointer test.
 void check_cancelled();
 
+/// The steady-clock time `budget` from now, saturating at time_point::max()
+/// where now + budget would overflow the clock's nanosecond count (the
+/// protocol's deadline_ms goes up to 2^53 ms, about 2,000 times that
+/// range), so a huge budget never wraps into an expired deadline.
+std::chrono::steady_clock::time_point deadline_after(
+    std::chrono::milliseconds budget);
+
 }  // namespace protest

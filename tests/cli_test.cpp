@@ -1,9 +1,11 @@
 // The command-line front end, driven through run_cli().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string_view>
 
@@ -128,6 +130,159 @@ TEST(Cli, UnsignedFlagExitCodes) {
   }
 }
 
+// A valid value for every flag of the CLI (empty for a switch).
+const std::map<std::string, std::string> kFlagValues = {
+    {"--p", "0.5"}, {"--d", "0.9"}, {"--e", "0.9"}, {"--n", "100"},
+    {"--sweeps", "1"}, {"--patterns", "64"}, {"--seed", "7"},
+    {"--engine", "naive"}, {"--json", ""}, {"--artifacts", "scoap"},
+    {"--threads", "1"}, {"--deadline-ms", "60000"},
+    {"--passes", "structure"}, {"--faults", ""}, {"--cap", "4"},
+    {"--inflight", "2"}, {"--port", "0"}, {"--workers", "2"},
+    {"--heartbeat-ms", "100"}, {"--max-restarts", "3"},
+    {"--fault-inject", "crash@analyze"}, {"--quick", ""},
+    {"--circuits", "1"}, {"--alpha", "0.01"}, {"--data", "."},
+    {"--corpus", "."}, {"--inject", ""}, {"--replay", "repro.json"},
+};
+
+// Each command's flags, written out by what each command reads, and a
+// flag of its own with a bad value: appended last, it stops the run with a
+// usage error of its own once every earlier flag has been accepted.
+const struct {
+  std::vector<std::string> command;  ///< the command and its <file>
+  std::vector<std::string> flags;
+  std::vector<std::string> stop;
+} kCommandFlags[] = {
+    {{"analyze", "zoo:c17"},
+     {"--p", "--d", "--e", "--seed", "--engine", "--deadline-ms",
+      "--artifacts", "--json", "--threads"},
+     {"--p", "2"}},
+    {{"scan", "zoo:c17"},
+     {"--p", "--d", "--e", "--seed", "--engine", "--deadline-ms",
+      "--artifacts", "--json", "--threads"},
+     {"--p", "2"}},
+    {{"optimize", "zoo:c17"},
+     {"--d", "--e", "--n", "--sweeps", "--seed", "--engine", "--deadline-ms",
+      "--json", "--threads"},
+     {"--d", "0"}},
+    {{"simulate", "zoo:c17"}, {"--p", "--patterns", "--seed"}, {"--p", "2"}},
+    {{"lint", "zoo:c17"}, {"--p", "--json", "--passes", "--faults"},
+     {"--p", "2"}},
+    {{"serve"},
+     {"--threads", "--cap", "--inflight", "--port", "--workers",
+      "--heartbeat-ms", "--max-restarts", "--fault-inject"},
+     {"--cap", "-1"}},
+    {{"__serve-worker"}, {"--threads", "--cap", "--inflight"},
+     {"--cap", "-1"}},
+    {{"fuzz"},
+     {"--patterns", "--seed", "--json", "--threads", "--quick", "--circuits",
+      "--alpha", "--data", "--corpus", "--inject", "--replay"},
+     {"--circuits", "0"}},
+    {{"help"}, {}, {}},
+};
+
+std::vector<std::string> with_flag(const std::vector<std::string>& command,
+                                   const std::string& flag,
+                                   const std::vector<std::string>& stop) {
+  std::vector<std::string> args = command;
+  args.push_back(flag);
+  const std::string& value = kFlagValues.at(flag);
+  if (!value.empty()) args.push_back(value);
+  args.insert(args.end(), stop.begin(), stop.end());
+  return args;
+}
+
+// A flag that a command does not read is a usage error naming both, before
+// any output: no command silently ignores a flag.
+TEST(Cli, FlagOutsideACommandsSetIsAUsageError) {
+  // A regression would start a daemon on stdin; an empty one ends it.
+  std::istringstream no_requests;
+  std::streambuf* const stdin_buf = std::cin.rdbuf(no_requests.rdbuf());
+  for (const auto& c : kCommandFlags) {
+    for (const auto& entry : kFlagValues) {
+      const std::string& flag = entry.first;
+      if (std::find(c.flags.begin(), c.flags.end(), flag) != c.flags.end())
+        continue;
+      const CliRun r = cli(with_flag(c.command, flag, c.stop));
+      EXPECT_EQ(r.code, 2) << c.command[0] << " " << flag;
+      EXPECT_EQ(r.out, "") << c.command[0] << " " << flag;
+      EXPECT_NE(r.err.find(flag + " is not valid for '" + c.command[0] + "'"),
+                std::string::npos)
+          << c.command[0] << " " << flag << ": " << r.err;
+    }
+  }
+  std::cin.rdbuf(stdin_buf);
+}
+
+// Every flag in a command's set passes the check and reaches the next one.
+TEST(Cli, FlagInsideACommandsSetIsAccepted) {
+  for (const auto& c : kCommandFlags) {
+    for (const std::string& flag : c.flags) {
+      const CliRun r = cli(with_flag(c.command, flag, c.stop));
+      EXPECT_EQ(r.code, 2) << c.command[0] << " " << flag;
+      EXPECT_EQ(r.out, "") << c.command[0] << " " << flag;
+      EXPECT_EQ(r.err.find("is not valid for"), std::string::npos)
+          << c.command[0] << " " << flag << ": " << r.err;
+      EXPECT_NE(r.err.find("error: " + c.stop[0] + " must be"),
+                std::string::npos)
+          << c.command[0] << " " << flag << ": " << r.err;
+    }
+  }
+}
+
+// --p, --d, --e and --alpha are read whole, finite and inside the range the
+// library enforces, as is --patterns (at least one), so a bad value stops
+// the run before any output.
+TEST(Cli, FlagValuesOutsideTheLibrarysRangeAreUsageErrors) {
+  const std::vector<std::string> bad[] = {
+      {"analyze", "zoo:c17", "--p", "0.3abc"},
+      {"analyze", "zoo:c17", "--p", "nan"},
+      {"analyze", "zoo:c17", "--p", "inf"},
+      {"analyze", "zoo:c17", "--p", " 0.5"},
+      {"analyze", "zoo:c17", "--p", "+0.5"},
+      {"simulate", "zoo:c17", "--p", "-0"},
+      {"analyze", "zoo:c17", "--p", ""},
+      {"analyze", "zoo:c17", "--d", "0"},
+      {"analyze", "zoo:c17", "--d", "2"},
+      {"analyze", "zoo:c17", "--e", "1"},
+      {"analyze", "zoo:c17", "--e", "0"},
+      {"optimize", "zoo:c17", "--d", "1e400"},
+      {"fuzz", "--alpha", "0.5x"},
+      {"fuzz", "--alpha", "1"},
+      {"simulate", "zoo:c17", "--patterns", "0"},
+      {"fuzz", "--patterns", "0"},
+  };
+  for (const std::vector<std::string>& args : bad) {
+    const CliRun r = cli(args);
+    EXPECT_EQ(r.code, 2) << args[2] << " " << args.back();
+    EXPECT_EQ(r.out, "") << args[2] << " " << args.back();
+    EXPECT_NE(r.err.find(args[args.size() - 2] + " must be "),
+              std::string::npos)
+        << r.err;
+  }
+  // The closed ends of each range are accepted.
+  EXPECT_EQ(cli({"simulate", "zoo:c17", "--p", "1", "--patterns", "16"}).code,
+            0);
+  EXPECT_EQ(cli({"simulate", "zoo:c17", "--p", "0", "--patterns", "16"}).code,
+            0);
+  EXPECT_EQ(cli({"analyze", "zoo:c17", "--d", "1", "--e", ".5"}).code, 0);
+}
+
+// --replay re-runs the artifact's own spec: every flag but --json is
+// rejected, not ignored.
+TEST(Cli, ReplayTakesNoFlagButJson) {
+  for (const char* flag : {"--seed", "--patterns", "--threads", "--corpus"}) {
+    const CliRun r = cli(with_flag({"fuzz", "--replay", "missing.json"}, flag,
+                                   {}));
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_EQ(r.out, "") << flag;
+    EXPECT_NE(r.err.find(std::string(flag) + " is not valid with it"),
+              std::string::npos)
+        << r.err;
+  }
+  // --json passes; the missing artifact is then a runtime error.
+  EXPECT_EQ(cli({"fuzz", "--replay", "missing.json", "--json"}).code, 1);
+}
+
 TEST(Cli, OversizedPatternCountIsAnErrorNotACrash) {
   // 128 inputs x 2^63 patterns: the pattern word count used to wrap to 0
   // and weighted() wrote past the empty set.
@@ -245,6 +400,14 @@ TEST(Cli, DeadlineFlagValidation) {
   const CliRun r = cli({"analyze", f.path(), "--deadline-ms", "60000"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("5 inputs"), std::string::npos);
+}
+
+// A budget past the steady clock's range runs to completion: it used to
+// wrap into a deadline that had already passed (exit 3).
+TEST(Cli, HugeDeadlineBudgetDoesNotTripAtOnce) {
+  const CliRun r =
+      cli({"analyze", "zoo:c17", "--deadline-ms", "10000000000000"});
+  EXPECT_EQ(r.code, 0) << r.err;
 }
 
 TEST(Cli, AnalyzeBenchFile) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <string>
 #include <string_view>
 #include <thread>
 
@@ -397,6 +399,34 @@ TEST(AnalysisSession, EngineMismatchIsRejected) {
   auto engine_on_b = make_engine("naive", b);
   EXPECT_THROW(AnalysisSession(a, std::move(engine_on_b), {}),
                std::invalid_argument);
+}
+
+/// This process's thread count (the Threads: line of /proc/self/status),
+/// or 0 where that file does not exist.
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+// A session built from options alone resolves one executor and hands it to
+// its engine, so the Monte-Carlo shards and the fault-bounds sweep run on
+// one 4-worker pool: 3 threads beside the caller, not two pools' 6.
+TEST(AnalysisSession, MonteCarloSessionRunsOnOnePool) {
+  const std::size_t before = process_threads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  const Netlist net = make_circuit("div");
+  SessionOptions opts;
+  opts.engine = "monte-carlo";
+  opts.monte_carlo.num_patterns = 20'000;
+  opts.parallel.num_threads = 4;
+  AnalysisSession session(net, opts);
+  const AnalysisResult r = session.analyze(uniform_input_probs(net, 0.5));
+  EXPECT_EQ(process_threads(), before + 3);
+  EXPECT_FALSE(r.fault_bounds().bounds.empty());
+  EXPECT_EQ(process_threads(), before + 3);
 }
 
 }  // namespace

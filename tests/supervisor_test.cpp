@@ -175,6 +175,34 @@ TEST(CancelDeadline, ScopeInstallsAmbientToken) {
   EXPECT_NO_THROW(check_cancelled());
 }
 
+// Every budget in the protocol's deadline_ms range (up to 2^53 ms) is a
+// deadline in the future.  now + 10^13 ms overflows the clock's nanosecond
+// count; it used to wrap into a deadline that tripped at once.
+TEST(CancelDeadline, HugeBudgetsSaturateInsteadOfWrapping) {
+  for (const std::int64_t ms : {std::int64_t{1} << 53,
+                                std::int64_t{10'000'000'000'000}}) {
+    const auto deadline = deadline_after(milliseconds(ms));
+    EXPECT_EQ(deadline, std::chrono::steady_clock::time_point::max()) << ms;
+    EXPECT_EQ(CancelToken::deadline_source(deadline).reason(),
+              CancelReason::None)
+        << ms;
+  }
+  const auto before = std::chrono::steady_clock::now();
+  const auto hour = deadline_after(std::chrono::hours(1));
+  EXPECT_GE(hour, before + std::chrono::hours(1));
+  EXPECT_LT(hour, before + std::chrono::minutes(61));
+
+  ProtestService service;
+  const std::string lines[] = {
+      R"({"verb":"load_netlist","id":1,"netlist":"c","circuit":"c17"})",
+      R"({"verb":"analyze","id":2,"netlist":"c","p":0.5,)"
+      R"("deadline_ms":10000000000000})"};
+  for (const std::string& line : lines) {
+    const std::string response = service.handle_line(line);
+    EXPECT_TRUE(ServiceResponse::from_json(response).ok) << response;
+  }
+}
+
 // --- placement --------------------------------------------------------------
 
 TEST(Placement, IsPureAndMatchesTheFingerprintArgmax) {
